@@ -16,8 +16,8 @@ from .tensor import Tensor, broadcast_to, clip, concat, reshape, softmax
 
 __all__ = [
     "EmbeddingParams",
-    "MaskDraw",
     "modality_relevance",
+    "mask_probability",
     "input_mask_probability",
     "sample_mask",
     "keep_factor",
@@ -30,12 +30,6 @@ class EmbeddingParams:
     time: Tensor  # [T, hidden]
     node: Tensor  # [N, hidden]
     modality: Tensor  # [M, hidden]
-
-
-@dataclass
-class MaskDraw:
-    mask: np.ndarray  # bool, True = cell zeroed
-    phi: np.ndarray  # keep relevance the probabilities came from
 
 
 def modality_relevance(h_detached: Tensor, relevance_weight: Tensor) -> Tensor:
@@ -51,23 +45,26 @@ def modality_relevance(h_detached: Tensor, relevance_weight: Tensor) -> Tensor:
     return softmax(v, axis=-1)
 
 
+def mask_probability(phi: Tensor, scale: float = 1.0) -> Tensor:
+    """Masking probability of a cell with keep relevance phi: 1 - phi, scaled and clamped."""
+    return clip((1.0 - phi) * scale, 0.0, 1.0)
+
+
 def input_mask_probability(phi: Tensor, input_steps: int, scale: float = 1.0) -> Tensor:
-    """Masking probability on the input grid, 1 - phi scaled and clamped.
+    """Masking probability on the input grid.
 
     The relevance lives on the encoder output grid; its time-mean is
     broadcast across all input steps (an exact broadcast when the encoder
     collapses time to one step).
     """
-    kept = phi.mean(axis=-3, keepdims=True)  # [..., 1, N, M]
-    prob = clip((1.0 - kept) * scale, 0.0, 1.0)
+    prob = mask_probability(phi.mean(axis=-3, keepdims=True), scale)  # [..., 1, N, M]
     target = prob.shape[:-3] + (input_steps,) + prob.shape[-2:]
     return broadcast_to(prob, target)
 
 
-def sample_mask(phi: np.ndarray, rng: np.random.Generator, scale: float = 1.0) -> MaskDraw:
-    """Independent Bernoulli(1 - phi) draw per cell; True means masked."""
-    prob = np.clip((1.0 - phi) * scale, 0.0, 1.0)
-    return MaskDraw(mask=rng.random(prob.shape) < prob, phi=phi)
+def sample_mask(phi: np.ndarray, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    """Independent Bernoulli(mask_probability) draw per cell; True means masked."""
+    return rng.random(phi.shape) < mask_probability(Tensor(phi), scale).data
 
 
 def keep_factor(

@@ -36,7 +36,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="path to the JSON run configuration")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--out", default=None, help="output directory (default: $MOSSL_RUN_DIR or ./runs)")
-    sub.add_argument("--device", choices=["cpu"], default="cpu", help="reserved; cpu only")
     sub.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 

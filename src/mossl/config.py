@@ -1,34 +1,27 @@
 """Experiment configuration: strict JSON parsing with defaults.
 
-Unknown keys are rejected everywhere so typos fail fast; the raw text is
-kept verbatim for persistence into run directories.
+The config dataclasses are the schema.  Parsing, unknown-key rejection and
+the hashed effective view are all derived from their fields and type
+hints, so a field cannot be parsed and then left out of the hash.  Unknown
+keys and values of the wrong type are rejected with the dotted key; the raw
+text is kept verbatim for persistence into run directories.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import SplitSpec, SynthSpec
 from .errors import ConfigError
-from .model import AblationFlags, LossWeights, ModelConfig
+from .model import ModelConfig
 from .training import TrainConfig
-
-
-def _check_keys(section: dict, allowed: tuple[str, ...], context: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys {unknown} in {context}; allowed keys: {sorted(allowed)}")
-
-
-def _require(section: dict, key: str, context: str):
-    if key not in section:
-        raise ConfigError(f"missing required key '{key}' in {context}")
-    return section[key]
 
 
 @dataclass
@@ -57,177 +50,78 @@ class RunConfig:
 
     def effective_dict(self) -> dict:
         """Fully defaulted view of the configuration, used for hashing."""
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "data": {
-                "kind": self.data.kind,
-                "path": self.data.path,
-                "descriptor": self.data.descriptor,
-                "expected_nodes": self.data.expected_nodes,
-                "expected_modalities": self.data.expected_modalities,
-                "input_steps": self.data.input_steps,
-                "output_steps": self.data.output_steps,
-                "stride": self.data.stride,
-                "split": [self.data.split.train, self.data.split.val, self.data.split.test],
-                "synthetic": None
-                if self.data.synthetic is None
-                else {
-                    "nodes": self.data.synthetic.nodes,
-                    "modalities": self.data.synthetic.modalities,
-                    "steps": self.data.synthetic.steps,
-                    "regimes": self.data.synthetic.regimes,
-                    "coupling": np.asarray(self.data.synthetic.coupling).tolist(),
-                    "noise": self.data.synthetic.noise,
-                },
-                "synthetic_seed": self.data.synthetic_seed,
-            },
-            "model": {
-                "hidden": self.model.hidden,
-                "layers": self.model.layers,
-                "kernel_size": self.model.kernel_size,
-                "dilations": list(self.model.dilations),
-                "mixture_components": self.model.mixture_components,
-                "residual": self.model.residual,
-                "straight_through_mask": self.model.straight_through_mask,
-                "mask_scale": self.model.mask_scale,
-                "average_negatives": self.model.average_negatives,
-            },
-            "train": {
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "learning_rate": self.train.learning_rate,
-                "loss_weights": {
-                    "forecast": self.train.loss_weights.forecast,
-                    "mixture": self.train.loss_weights.mixture,
-                    "contrast": self.train.loss_weights.contrast,
-                },
-                "ablation": {
-                    "no_av": self.train.ablation.no_av,
-                    "no_mg": self.train.ablation.no_mg,
-                    "no_gssl": self.train.ablation.no_gssl,
-                    "no_mssl": self.train.ablation.no_mssl,
-                },
-                "early_stop_patience": self.train.early_stop_patience,
-            },
-        }
+        return _plain(self)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.effective_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-_DATA_KEYS = (
-    "kind",
-    "path",
-    "descriptor",
-    "expected_nodes",
-    "expected_modalities",
-    "input_steps",
-    "output_steps",
-    "stride",
-    "split",
-    "synthetic",
-    "synthetic_seed",
-)
-_SYNTH_KEYS = ("nodes", "modalities", "steps", "regimes", "coupling", "noise")
-_MODEL_KEYS = (
-    "hidden",
-    "layers",
-    "kernel_size",
-    "dilations",
-    "mixture_components",
-    "residual",
-    "straight_through_mask",
-    "mask_scale",
-    "average_negatives",
-)
-_TRAIN_KEYS = (
-    "epochs",
-    "batch_size",
-    "learning_rate",
-    "loss_weights",
-    "ablation",
-    "early_stop_patience",
-)
-_WEIGHT_KEYS = ("forecast", "mixture", "contrast")
-_ABLATION_KEYS = ("no_av", "no_mg", "no_gssl", "no_mssl")
+def _schema_fields(cls) -> list:
+    """Fields that appear in the JSON document; ``raw_text`` is bookkeeping."""
+    return [f for f in fields(cls) if f.name != "raw_text"]
 
 
-def _parse_data(section: dict) -> DataConfig:
-    _check_keys(section, _DATA_KEYS, "data")
-    out = DataConfig()
-    out.kind = section.get("kind", out.kind)
-    if out.kind not in ("synthetic", "csv", "prepared"):
-        raise ConfigError(f"data.kind must be synthetic, csv, or prepared; got {out.kind!r}")
-    out.path = section.get("path")
-    out.descriptor = section.get("descriptor")
-    out.expected_nodes = section.get("expected_nodes")
-    out.expected_modalities = section.get("expected_modalities")
-    out.input_steps = int(section.get("input_steps", out.input_steps))
-    out.output_steps = int(section.get("output_steps", out.output_steps))
-    out.stride = int(section.get("stride", out.stride))
-    if "split" in section:
-        fractions = section["split"]
-        if not isinstance(fractions, (list, tuple)) or len(fractions) != 3:
-            raise ConfigError("data.split must be a list of three fractions")
-        out.split = SplitSpec(*[float(f) for f in fractions])
-    if "synthetic" in section and section["synthetic"] is not None:
-        synth = section["synthetic"]
-        _check_keys(synth, _SYNTH_KEYS, "data.synthetic")
-        out.synthetic = SynthSpec(
-            nodes=int(_require(synth, "nodes", "data.synthetic")),
-            modalities=int(_require(synth, "modalities", "data.synthetic")),
-            steps=int(_require(synth, "steps", "data.synthetic")),
-            regimes=int(synth.get("regimes", 1)),
-            coupling=synth.get("coupling", []),
-            noise=float(synth.get("noise", 0.1)),
-        )
-    out.synthetic_seed = section.get("synthetic_seed")
-    if out.kind in ("csv", "prepared") and not out.path:
-        raise ConfigError(f"data.kind={out.kind!r} requires data.path")
-    if out.kind == "synthetic" and out.synthetic is None:
-        raise ConfigError("data.kind='synthetic' requires a data.synthetic section")
-    return out
+def _plain(value):
+    """JSON form of a config value: the inverse of ``_coerce``."""
+    if isinstance(value, SplitSpec):
+        return [value.train, value.val, value.test]
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in _schema_fields(value)}
+    if isinstance(value, (tuple, np.ndarray)):
+        return np.asarray(value).tolist()
+    return value
 
 
-def _parse_model(section: dict) -> ModelConfig:
-    _check_keys(section, _MODEL_KEYS, "model")
-    out = ModelConfig()
-    out.hidden = int(section.get("hidden", out.hidden))
-    out.layers = int(section.get("layers", out.layers))
-    out.kernel_size = int(section.get("kernel_size", out.kernel_size))
-    out.dilations = tuple(int(d) for d in section.get("dilations", out.dilations))
-    out.mixture_components = int(section.get("mixture_components", out.mixture_components))
-    out.residual = bool(section.get("residual", out.residual))
-    out.straight_through_mask = bool(section.get("straight_through_mask", False))
-    out.mask_scale = float(section.get("mask_scale", 1.0))
-    out.average_negatives = bool(section.get("average_negatives", False))
-    out.encoder_config()  # validates layer/dilation consistency
-    return out
+def _check_keys(section: dict, allowed: list[str], context: str) -> None:
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in {context}; allowed keys: {sorted(allowed)}")
 
 
-def _parse_train(section: dict) -> TrainConfig:
-    _check_keys(section, _TRAIN_KEYS, "train")
-    out = TrainConfig()
-    out.epochs = int(section.get("epochs", out.epochs))
-    out.batch_size = int(section.get("batch_size", out.batch_size))
-    out.learning_rate = float(section.get("learning_rate", out.learning_rate))
-    if "loss_weights" in section:
-        weights = section["loss_weights"]
-        _check_keys(weights, _WEIGHT_KEYS, "train.loss_weights")
-        out.loss_weights = LossWeights(
-            forecast=float(weights.get("forecast", 1.0)),
-            mixture=float(weights.get("mixture", 1.0)),
-            contrast=float(weights.get("contrast", 1.0)),
-        )
-    if "ablation" in section:
-        ablation = section["ablation"]
-        _check_keys(ablation, _ABLATION_KEYS, "train.ablation")
-        out.ablation = AblationFlags(**{k: bool(v) for k, v in ablation.items()})
-    patience = section.get("early_stop_patience", out.early_stop_patience)
-    out.early_stop_patience = None if patience is None else int(patience)
-    return out
+def _build(cls, section, path: str):
+    """Instantiate dataclass ``cls`` from a JSON object found at dotted ``path``."""
+    context = path or "config root"
+    if not isinstance(section, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {section!r}")
+    schema = _schema_fields(cls)
+    _check_keys(section, [f.name for f in schema], context)
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in schema:
+        if f.name in section:
+            key = f"{path}.{f.name}" if path else f.name
+            kwargs[f.name] = _coerce(hints[f.name], section[f.name], key)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key '{f.name}' in {context}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _coerce(tp, value, key: str):
+    """Check a JSON value against a field type and convert it to that type."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+    if tp is SplitSpec:
+        if not isinstance(value, list) or len(value) != 3:
+            raise ConfigError(f"{key} must be a list of three fractions")
+        return SplitSpec(*(_coerce(float, v, key) for v in value))
+    if is_dataclass(tp):
+        return _build(tp, value, key)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_coerce(item, v, f"{key}[{i}]") for i, v in enumerate(value))
+    if tp is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, tp) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{key} must be {tp.__name__}, got {value!r}")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -235,15 +129,16 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(doc, ("name", "seed", "data", "model", "train"), "config root")
-    cfg = RunConfig(raw_text=text)
-    cfg.name = str(doc.get("name", cfg.name))
-    cfg.seed = int(doc.get("seed", cfg.seed))
-    cfg.data = _parse_data(doc.get("data", {}))
-    cfg.model = _parse_model(doc.get("model", {}))
-    cfg.train = _parse_train(doc.get("train", {}))
+    cfg = _build(RunConfig, doc, "")
+    cfg.raw_text = text
+    data = cfg.data
+    if data.kind not in ("synthetic", "csv", "prepared"):
+        raise ConfigError(f"data.kind must be synthetic, csv, or prepared; got {data.kind!r}")
+    if data.kind in ("csv", "prepared") and not data.path:
+        raise ConfigError(f"data.kind={data.kind!r} requires data.path")
+    if data.kind == "synthetic" and data.synthetic is None:
+        raise ConfigError("data.kind='synthetic' requires a data.synthetic section")
+    cfg.model.encoder_config()  # validates layer/dilation consistency
     return cfg
 
 

@@ -75,15 +75,6 @@ class MoSTSeries:
 
 
 @dataclass
-class WindowSample:
-    """One training instance: input block and the target block right after it."""
-
-    x: np.ndarray  # [T, N, M]
-    y: np.ndarray  # [O, N, M]
-    anchor: int  # index of the first target step in the source series
-
-
-@dataclass
 class NormStats:
     """Per-modality z-score statistics fitted on the training range only."""
 
@@ -133,6 +124,19 @@ def zscore_fit(series: MoSTSeries, train_range: tuple[int, int]) -> NormStats:
     return NormStats(mean=mean, std=std)
 
 
+@dataclass
+class WindowSet:
+    """Stacked window arrays: each input block and the target block right after it."""
+
+    x: np.ndarray  # [count, T, N, M]
+    y: np.ndarray  # [count, O, N, M]
+    anchors: np.ndarray  # [count], index of the first target step in the source series
+
+    @property
+    def count(self) -> int:
+        return self.x.shape[0]
+
+
 def make_windows(
     values: np.ndarray,
     input_steps: int,
@@ -140,8 +144,8 @@ def make_windows(
     stride: int = 1,
     start: int = 0,
     stop: int | None = None,
-) -> list[WindowSample]:
-    """Enumerate windows whose input and target both fit inside [start, stop)."""
+) -> WindowSet:
+    """Gather every window whose input and target both fit inside [start, stop)."""
     if stop is None:
         stop = values.shape[0]
     if stride < 1:
@@ -152,29 +156,13 @@ def make_windows(
             f"range of {stop - start} steps is too short for input {input_steps} "
             f"+ output {output_steps}"
         )
-    windows = []
-    for s in range(start, stop - span + 1, stride):
-        windows.append(
-            WindowSample(
-                x=values[s : s + input_steps],
-                y=values[s + input_steps : s + span],
-                anchor=s + input_steps,
-            )
-        )
-    return windows
-
-
-@dataclass
-class WindowSet:
-    """Stacked window arrays for one split, already normalized."""
-
-    x: np.ndarray  # [count, T, N, M]
-    y: np.ndarray  # [count, O, N, M]
-    anchors: np.ndarray  # [count]
-
-    @property
-    def count(self) -> int:
-        return self.x.shape[0]
+    starts = np.arange(start, stop - span + 1, stride, dtype=np.int64)
+    steps = starts[:, None] + np.arange(span)  # [count, span]
+    return WindowSet(
+        x=values[steps[:, :input_steps]],
+        y=values[steps[:, input_steps:]],
+        anchors=starts + input_steps,
+    )
 
 
 @dataclass
@@ -208,12 +196,7 @@ def prepare_windows(
                 anchors=np.zeros(0, dtype=np.int64),
             )
             continue
-        windows = make_windows(normalized, input_steps, output_steps, stride, start, stop)
-        splits[name] = WindowSet(
-            x=np.stack([w.x for w in windows]),
-            y=np.stack([w.y for w in windows]),
-            anchors=np.array([w.anchor for w in windows], dtype=np.int64),
-        )
+        splits[name] = make_windows(normalized, input_steps, output_steps, stride, start, stop)
     return PreparedData(
         stats=stats,
         splits=splits,

@@ -28,10 +28,6 @@ class MixtureHeads:
     logvar_weight: Tensor  # [K, hidden, T'*N*M]
     logvar_bias: Tensor  # [K, hidden]
 
-    @property
-    def components(self) -> int:
-        return self.membership_weight.shape[0]
-
 
 @dataclass
 class MixtureState:

@@ -33,6 +33,7 @@ from .training import (
     TrainResult,
     evaluate,
     load_checkpoint,
+    model_dims,
     restore_params,
     save_checkpoint,
     stats_from_manifest,
@@ -146,15 +147,11 @@ def load_run_params(cfg: RunConfig, checkpoint_path: str | Path, prepared: Prepa
     flags = AblationFlags(**manifest.get("ablation", {}))
     dims_doc = manifest["dims"]
     dims = ModelDims(**dims_doc)
-    expected = {
-        "input_steps": prepared.input_steps,
-        "output_steps": prepared.output_steps,
-        "nodes": len(prepared.node_ids),
-        "modalities": len(prepared.modality_names),
-    }
-    if dataclasses.asdict(dims) != expected:
+    expected = model_dims(prepared)
+    if dims != expected:
         raise CheckpointError(
-            f"checkpoint dimensions {dims_doc} do not match the configured dataset {expected}"
+            f"checkpoint dimensions {dims_doc} do not match the configured dataset "
+            f"{dataclasses.asdict(expected)}"
         )
     stats = stats_from_manifest(manifest)
     if not (
@@ -185,14 +182,8 @@ def run_gradcheck(cfg: RunConfig, quiet: bool = False) -> GradCheckReport:
     batch = min(2, train_ws.count)
     x = train_ws.x[:batch]
     y = train_ws.y[:batch]
-    dims = ModelDims(
-        input_steps=prepared.input_steps,
-        output_steps=prepared.output_steps,
-        nodes=len(prepared.node_ids),
-        modalities=len(prepared.modality_names),
-    )
     flags = cfg.train.ablation
-    params = init_params(cfg.model, dims, flags, cfg.seed)
+    params = init_params(cfg.model, model_dims(prepared), flags, cfg.seed)
     for name, p in params.named.items():
         p.data += derive_rng(cfg.seed, "gradcheck-offset", name).uniform(-0.05, 0.05, p.shape)
     weights = cfg.train.loss_weights

@@ -16,8 +16,6 @@ from .errors import ConfigError, DomainError, ShapeError
 
 __all__ = [
     "Tensor",
-    "tensor",
-    "constant",
     "parameter",
     "backward",
     "gradients",
@@ -64,9 +62,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -79,9 +74,6 @@ class Tensor:
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # -- operators -----------------------------------------------------
 
@@ -135,14 +127,6 @@ class Tensor:
         perm = list(range(self.ndim))
         perm[a], perm[b] = perm[b], perm[a]
         return transpose(self, perm)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data)
 
 
 def parameter(data) -> Tensor:

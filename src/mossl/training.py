@@ -200,6 +200,16 @@ def window_mask_uniforms(seed: int, epoch: int, window_index: int, shape) -> np.
     return derive_rng(seed, "mask", epoch, window_index).random(shape)
 
 
+def model_dims(prepared: PreparedData) -> ModelDims:
+    """Model extents implied by a prepared dataset."""
+    return ModelDims(
+        input_steps=prepared.input_steps,
+        output_steps=prepared.output_steps,
+        nodes=len(prepared.node_ids),
+        modalities=len(prepared.modality_names),
+    )
+
+
 @dataclass
 class TrainResult:
     params: ModelParams
@@ -221,12 +231,7 @@ def train(
     Deterministic for a fixed (config, seed): initialization, shuffling, and
     mask draws all derive from the one seed.
     """
-    dims = ModelDims(
-        input_steps=prepared.input_steps,
-        output_steps=prepared.output_steps,
-        nodes=len(prepared.node_ids),
-        modalities=len(prepared.modality_names),
-    )
+    dims = model_dims(prepared)
     flags = train_cfg.ablation
     params = init_params(model_cfg, dims, flags, seed)
     state = AdamState(params.named)

@@ -193,12 +193,12 @@ def test_criterion_5_mask_rate_statistics():
     draws = 10_000
     counts = np.zeros(grid)
     for i in range(draws):
-        counts += aug.sample_mask(phi, derive_rng(55, "mask-rate", i)).mask
+        counts += aug.sample_mask(phi, derive_rng(55, "mask-rate", i))
     rates = counts / draws
     assert np.all(np.abs(rates - 0.75) < 0.02)
 
-    again = [aug.sample_mask(phi, derive_rng(55, "mask-rate", i)).mask for i in (0, 1)]
-    assert np.array_equal(again[0], aug.sample_mask(phi, derive_rng(55, "mask-rate", 0)).mask)
+    again = [aug.sample_mask(phi, derive_rng(55, "mask-rate", i)) for i in (0, 1)]
+    assert np.array_equal(again[0], aug.sample_mask(phi, derive_rng(55, "mask-rate", 0)))
     assert not np.array_equal(again[0], again[1])
     report(
         "criterion 5",

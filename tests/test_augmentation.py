@@ -38,25 +38,25 @@ class TestRelevance:
 class TestMaskSampling:
     def test_full_relevance_never_masks(self):
         phi = np.full((20, 3, 1), 1.0)
-        draw = aug.sample_mask(phi, derive_rng(0, "t"))
-        assert not draw.mask.any()
+        mask = aug.sample_mask(phi, derive_rng(0, "t"))
+        assert not mask.any()
 
     def test_fixed_seed_reproduces_mask(self):
         phi = rng(8).uniform(0.1, 0.9, size=(6, 2, 3))
         a = aug.sample_mask(phi, derive_rng(5, "mask"))
         b = aug.sample_mask(phi, derive_rng(5, "mask"))
-        assert np.array_equal(a.mask, b.mask)
+        assert np.array_equal(a, b)
 
     def test_empirical_rate_tracks_probability(self):
         phi = np.full((10, 2, 4), 0.25)
-        draws = [aug.sample_mask(phi, derive_rng(9, "rate", i)).mask for i in range(2000)]
+        draws = [aug.sample_mask(phi, derive_rng(9, "rate", i)) for i in range(2000)]
         rate = np.mean(draws)
         assert abs(rate - 0.75) < 0.01
 
     def test_scale_factor_shrinks_probability(self):
         phi = np.full((400, 2, 4), 0.25)
-        draw = aug.sample_mask(phi, derive_rng(10, "s"), scale=0.5)
-        assert abs(draw.mask.mean() - 0.375) < 0.02
+        mask = aug.sample_mask(phi, derive_rng(10, "s"), scale=0.5)
+        assert abs(mask.mean() - 0.375) < 0.02
 
     def test_input_probability_broadcasts_over_time(self):
         phi = Tensor(rng(11).uniform(0.2, 0.8, size=(2, 1, 3, 4)))

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mossl.cli import main
 from mossl.container import load_tensor
@@ -209,6 +210,24 @@ class TestErrors:
         path = write_config(tmp_path, cfg)
         assert run(["train", "--config", path, "--out", tmp_path / "r", "--quiet"]) == 1
         assert "hideen" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key,value,named",
+        [
+            ("model", "dilations", 3, "model.dilations"),
+            ("model", "hidden", "abc", "model.hidden"),
+            (None, "model", [], "model"),
+            ("model", "residual", "false", "model.residual"),
+        ],
+    )
+    def test_wrong_value_type_is_usage_error(self, tmp_path, capsys, section, key, value, named):
+        cfg = tiny_config()
+        (cfg if section is None else cfg[section])[key] = value
+        path = write_config(tmp_path, cfg)
+        assert run(["train", "--config", path, "--out", tmp_path / "r", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} must be")
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["train", "--config", tmp_path / "nope.json", "--quiet"]) == 1

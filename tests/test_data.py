@@ -177,27 +177,28 @@ class TestZScore:
 class TestWindows:
     def test_boundary_count(self):
         values = np.zeros((19, 1, 1))
-        assert len(make_windows(values, 16, 3)) == 1
+        assert make_windows(values, 16, 3).count == 1
 
     def test_count_formula(self):
         values = np.zeros((20, 1, 1))
         windows = make_windows(values, 16, 3)
-        assert len(windows) == 2
+        assert windows.count == 2
 
     @pytest.mark.parametrize("total,stride", [(30, 1), (30, 2), (31, 2), (29, 3)])
     def test_stride_matches_enumeration_oracle(self, total, stride):
         values = np.arange(total, dtype=float).reshape(total, 1, 1)
         windows = make_windows(values, 16, 3, stride=stride)
         expected_starts = [s for s in range(0, total - 19 + 1) if (s % stride) == 0]
-        assert [w.anchor - 16 for w in windows] == expected_starts
+        assert [a - 16 for a in windows.anchors] == expected_starts
         full = total - 16 - 3 + 1
-        assert len(windows) == -(-full // stride)  # ceil division
+        assert windows.count == -(-full // stride)  # ceil division
 
     def test_target_follows_input(self):
         values = np.arange(25, dtype=float).reshape(25, 1, 1)
-        for w in make_windows(values, 4, 2):
-            assert w.x[-1, 0, 0] + 1 == w.y[0, 0, 0]
-            assert w.y.shape[0] == 2
+        windows = make_windows(values, 4, 2)
+        for i in range(windows.count):
+            assert windows.x[i][-1, 0, 0] + 1 == windows.y[i][0, 0, 0]
+            assert windows.y[i].shape[0] == 2
 
     def test_too_short(self):
         with pytest.raises(DataError, match="too short"):
