@@ -51,13 +51,8 @@ def mask_probability(phi: Tensor, scale: float = 1.0) -> Tensor:
 
 
 def input_mask_probability(phi: Tensor, input_steps: int, scale: float = 1.0) -> Tensor:
-    """Masking probability on the input grid.
-
-    The relevance lives on the encoder output grid; its time-mean is
-    broadcast across all input steps (an exact broadcast when the encoder
-    collapses time to one step).
-    """
-    prob = mask_probability(phi.mean(axis=-3, keepdims=True), scale)  # [..., 1, N, M]
+    """Masking probability of the encoder's one output step [..., 1, N, M], broadcast over time."""
+    prob = mask_probability(phi, scale)
     target = prob.shape[:-3] + (input_steps,) + prob.shape[-2:]
     return broadcast_to(prob, target)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import SplitSpec, SynthSpec
-from .errors import ConfigError
+from .errors import ConfigError, require_at_least_one
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -37,6 +37,9 @@ class DataConfig:
     split: SplitSpec = field(default_factory=SplitSpec)
     synthetic: SynthSpec | None = None
     synthetic_seed: int | None = None
+
+    def __post_init__(self):
+        require_at_least_one(self, "input_steps", "output_steps")
 
 
 @dataclass
@@ -96,7 +99,7 @@ def _build(cls, section, path: str):
             raise ConfigError(f"missing required key '{f.name}' in {context}")
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -138,7 +141,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"data.kind={data.kind!r} requires data.path")
     if data.kind == "synthetic" and data.synthetic is None:
         raise ConfigError("data.kind='synthetic' requires a data.synthetic section")
-    cfg.model.encoder_config()  # validates layer/dilation consistency
+    cfg.model.check_input_steps(data.input_steps, "data.input_steps")
     return cfg
 
 

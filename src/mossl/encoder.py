@@ -11,40 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
 from .tensor import Tensor, concat, dilated_causal_conv, linear, sigmoid, softmax, tanh
 
-
-@dataclass
-class EncoderConfig:
-    hidden: int
-    layers: int = 4
-    kernel_size: int = 2
-    dilations: tuple[int, ...] = (1, 2, 4, 8)
-    residual: bool = False
-
-    def __post_init__(self):
-        self.dilations = tuple(int(d) for d in self.dilations)
-        if len(self.dilations) != self.layers:
-            raise ConfigError(
-                f"dilation schedule {self.dilations} does not cover {self.layers} layers"
-            )
-        if self.kernel_size < 1 or min(self.dilations) < 1:
-            raise ConfigError("kernel size and dilations must be positive")
-
-    @property
-    def time_shrink(self) -> int:
-        return (self.kernel_size - 1) * sum(self.dilations)
-
-    def output_steps(self, input_steps: int) -> int:
-        out = input_steps - self.time_shrink
-        if out < 1:
-            raise ConfigError(
-                f"{input_steps} input steps are exhausted by dilation schedule "
-                f"{self.dilations} with kernel size {self.kernel_size}"
-            )
-        return out
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 @dataclass
@@ -77,7 +50,6 @@ class LayerParams:
     modality_attn: AttentionParams
     spatial_attn: AttentionParams
     conv: ConvParams
-    dilation: int
 
 
 @dataclass
@@ -140,16 +112,16 @@ def temporal_conv_layer(h_cat: Tensor, conv: ConvParams, dilation: int) -> Tenso
     return mixed.swapaxes(-4, -2)
 
 
-def encode(x: Tensor, proj: ProjectionParams, layers: list[LayerParams], cfg: EncoderConfig) -> Tensor:
+def encode(x: Tensor, proj: ProjectionParams, layers: list[LayerParams], cfg: ModelConfig) -> Tensor:
     """Full encoder pass: [..., T, N, M, C_in] -> [..., T_out, N, M, hidden]."""
     h = input_project(x, proj)
-    for layer in layers:
+    for layer, dilation in zip(layers, cfg.dilations, strict=True):
         ma = modality_attention(h, layer.modality_attn)
         sa = spatial_attention(h, layer.spatial_attn)
         stacked = concat([h, ma, sa], axis=-1)
-        out = temporal_conv_layer(stacked, layer.conv, layer.dilation)
+        out = temporal_conv_layer(stacked, layer.conv, dilation)
         if cfg.residual:
-            shrink = (cfg.kernel_size - 1) * layer.dilation
+            shrink = h.shape[-4] - out.shape[-4]
             tail = (Ellipsis, slice(shrink, None), slice(None), slice(None), slice(None))
             out = out + h[tail]
         h = out

@@ -37,3 +37,11 @@ class CheckpointError(MosslError):
     """Checkpoint file does not match the expected format or shapes."""
 
     exit_code = 1
+
+
+def require_at_least_one(obj, *names: str) -> None:
+    """Reject the first named integer field of ``obj`` that is below 1."""
+    for name in names:
+        value = getattr(obj, name)
+        if value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")

@@ -12,7 +12,7 @@ from . import augmentation as aug
 from . import encoder as enc
 from . import gssl as gssl_mod
 from . import mssl as mssl_mod
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require_at_least_one
 from .rng import derive_rng
 from .tensor import Tensor, linear, parameter, relu, reshape, stop_gradient
 
@@ -29,14 +29,27 @@ class ModelConfig:
     mask_scale: float = 1.0
     average_negatives: bool = False
 
-    def encoder_config(self) -> enc.EncoderConfig:
-        return enc.EncoderConfig(
-            hidden=self.hidden,
-            layers=self.layers,
-            kernel_size=self.kernel_size,
-            dilations=tuple(self.dilations),
-            residual=self.residual,
-        )
+    def __post_init__(self):
+        require_at_least_one(self, "hidden", "layers", "kernel_size", "mixture_components")
+        if len(self.dilations) != self.layers:
+            raise ConfigError(
+                f"dilation schedule {self.dilations} does not cover {self.layers} layers"
+            )
+        if min(self.dilations) < 1:
+            raise ConfigError(f"dilations must be positive, got {self.dilations}")
+
+    @property
+    def receptive_field(self) -> int:
+        """Input steps the dilated convolutions collapse to the one step the predictor reads."""
+        return 1 + (self.kernel_size - 1) * sum(self.dilations)
+
+    def check_input_steps(self, input_steps: int, key: str) -> None:
+        """Reject an input window, named ``key``, that does not collapse to exactly one step."""
+        if input_steps != self.receptive_field:
+            raise ConfigError(
+                f"{key} must be {self.receptive_field}, the receptive field of kernel size "
+                f"{self.kernel_size} with dilations {self.dilations}; got {input_steps}"
+            )
 
 
 @dataclass
@@ -157,13 +170,12 @@ class _Builder:
             mix_bias=self.zeros(f"{name}.mix.bias", (hidden,)),
         )
 
-    def encoder(self, prefix: str, cfg: enc.EncoderConfig, c_in: int) -> enc.EncoderParams:
+    def encoder(self, prefix: str, cfg: ModelConfig, c_in: int) -> enc.EncoderParams:
         layers = [
             enc.LayerParams(
                 modality_attn=self.attention(f"{prefix}.layers.{i}.modality_attn", cfg.hidden),
                 spatial_attn=self.attention(f"{prefix}.layers.{i}.spatial_attn", cfg.hidden),
                 conv=self.conv(f"{prefix}.layers.{i}.conv", cfg.kernel_size, cfg.hidden),
-                dilation=cfg.dilations[i],
             )
             for i in range(cfg.layers)
         ]
@@ -179,12 +191,11 @@ def init_params(
     flags: AblationFlags,
     seed: int,
 ) -> ModelParams:
-    cfg = model_cfg.encoder_config()
-    t_out = cfg.output_steps(dims.input_steps)
+    model_cfg.check_input_steps(dims.input_steps, "input_steps")
     hidden = model_cfg.hidden
     b = _Builder(seed)
 
-    encoder = b.encoder("encoder", cfg, c_in=1)
+    encoder = b.encoder("encoder", model_cfg, c_in=1)
     predictor = PredictorParams(
         hidden_weight=b.uniform("predictor.hidden.weight", (hidden, hidden), hidden),
         hidden_bias=b.zeros("predictor.hidden.bias", (hidden,)),
@@ -202,10 +213,10 @@ def init_params(
         )
         params.relevance_weight = b.uniform("relevance.weight", (hidden,), hidden)
     if flags.unshared_view:
-        params.aux_encoder = b.encoder("aux_encoder", cfg, c_in=1)
+        params.aux_encoder = b.encoder("aux_encoder", model_cfg, c_in=1)
     if flags.gssl_enabled:
         k = model_cfg.mixture_components
-        grid = t_out * dims.nodes * dims.modalities
+        grid = dims.nodes * dims.modalities
         flat = grid * hidden
         params.mixture = gssl_mod.MixtureHeads(
             membership_weight=b.uniform("mixture.membership.weight", (k, flat), flat),
@@ -269,10 +280,9 @@ def forward_pass(
     boolean ``mask_override`` pins the mask (used by gradient checking).
     At evaluation time only the original view runs.
     """
-    cfg = model_cfg.encoder_config()
     x_t = Tensor(np.asarray(x, dtype=np.float64))
     x_in = reshape(x_t, x_t.shape + (1,))
-    h = enc.encode(x_in, params.encoder.input_proj, params.encoder.layers, cfg)
+    h = enc.encode(x_in, params.encoder.input_proj, params.encoder.layers, model_cfg)
     result = ForwardResult(predictions=predict(h, params.predictor), h=h)
 
     parts: dict[str, Tensor] = {}
@@ -296,10 +306,10 @@ def forward_pass(
             result.mask = mask
             x_aug = aug.build_augmented_input(x_t, keep, params.embedding)
             result.augmented_input = x_aug
-            h_second = enc.encode(x_aug, params.aug_input_proj, params.encoder.layers, cfg)
+            h_second = enc.encode(x_aug, params.aug_input_proj, params.encoder.layers, model_cfg)
         elif flags.unshared_view:
             h_second = enc.encode(
-                x_in, params.aux_encoder.input_proj, params.aux_encoder.layers, cfg
+                x_in, params.aux_encoder.input_proj, params.aux_encoder.layers, model_cfg
             )
         result.h_second = h_second
 

@@ -297,7 +297,8 @@ def run_ablation(cfg: RunConfig, out_root: str | Path, quiet: bool = False) -> P
         run_dir, result = run_training(variant_cfg, root, quiet=quiet, prepared=prepared)
         test_metrics = None
         if prepared.splits["test"].count > 0:
-            test_metrics = evaluate(result.params, cfg.model, prepared, "test")
+            test_json = (run_dir / "metrics-test.json").read_text()
+            test_metrics = Metrics.from_json_dict(json.loads(test_json))
         rows.append(
             {
                 "variant": variant,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .container import read_tensor, write_tensor
 from .data import NormStats, PreparedData
-from .errors import CheckpointError, DataError
+from .errors import CheckpointError, DataError, require_at_least_one
 from .model import (
     AblationFlags,
     LossWeights,
@@ -40,6 +40,9 @@ class TrainConfig:
     loss_weights: LossWeights = field(default_factory=LossWeights)
     ablation: AblationFlags = field(default_factory=AblationFlags)
     early_stop_patience: int | None = 10
+
+    def __post_init__(self):
+        require_at_least_one(self, "epochs", "batch_size")
 
 
 # -- Adam ---------------------------------------------------------------------
@@ -226,10 +229,11 @@ def train(
     seed: int,
     quiet: bool = False,
 ) -> TrainResult:
-    """Run the full optimization and return final parameters plus history.
+    """Run the full optimization and return the parameters plus history.
 
     Deterministic for a fixed (config, seed): initialization, shuffling, and
-    mask draws all derive from the one seed.
+    mask draws all derive from the one seed.  Under early stopping the
+    returned parameters and ``val_metrics`` are those of the best-val epoch.
     """
     dims = model_dims(prepared)
     flags = train_cfg.ablation
@@ -243,6 +247,7 @@ def train(
 
     history: list[dict] = []
     best_rmse = np.inf
+    best: tuple[dict[str, np.ndarray], Metrics] | None = None  # of the best-val epoch
     stale_epochs = 0
     val_metrics: Metrics | None = None
     for epoch in range(1, train_cfg.epochs + 1):
@@ -291,6 +296,7 @@ def train(
         if has_val and train_cfg.early_stop_patience is not None:
             if record["val_rmse"] < best_rmse:
                 best_rmse = record["val_rmse"]
+                best = ({name: p.data.copy() for name, p in params.named.items()}, val_metrics)
                 stale_epochs = 0
             else:
                 stale_epochs += 1
@@ -298,6 +304,10 @@ def train(
                     if not quiet:
                         logger.info("early stop after %d stale epochs", stale_epochs)
                     break
+    if best is not None:
+        best_data, val_metrics = best
+        for name, p in params.named.items():
+            p.data[...] = best_data[name]
     return TrainResult(params=params, history=history, dims=dims, val_metrics=val_metrics, seed=seed)
 
 

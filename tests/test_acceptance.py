@@ -259,6 +259,7 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_learning_on_synthetic_data():
     """N=6, M=3, 2000 steps, planted coupling, seed 7; 50 epochs, < 10 min."""
     started = time.perf_counter()

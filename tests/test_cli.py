@@ -229,6 +229,16 @@ class TestErrors:
         assert err.startswith(f"error: {named} must be")
         assert "Traceback" not in err
 
+    def test_window_the_encoder_does_not_collapse_is_usage_error(self, tmp_path, capsys):
+        cfg = tiny_config()
+        cfg["data"]["input_steps"] = 5
+        path = write_config(tmp_path, cfg)
+        assert run(["train", "--config", path, "--out", tmp_path / "r", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: data.input_steps must be 4,")
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["train", "--config", tmp_path / "nope.json", "--quiet"]) == 1
 

@@ -130,6 +130,27 @@ class TestCoercion:
         with pytest.raises(ConfigError, match="^data.synthetic"):
             parse(doc)
 
+    @pytest.mark.parametrize(
+        "section,patch,named",
+        [
+            ("model", {"hidden": 0}, "model: hidden must be at least 1, got 0"),
+            ("model", {"layers": 0, "dilations": []}, "model: layers must be at least 1, got 0"),
+            ("model", {"kernel_size": 0}, "model: kernel_size must be at least 1, got 0"),
+            ("model", {"mixture_components": 0}, "model: mixture_components must be at least 1"),
+            ("train", {"batch_size": 0}, "train: batch_size must be at least 1, got 0"),
+            ("train", {"epochs": 0}, "train: epochs must be at least 1, got 0"),
+            ("data", {"output_steps": 0}, "data: output_steps must be at least 1, got 0"),
+            ("data", {"input_steps": 5}, "data.input_steps must be 4,"),
+        ],
+        ids=["hidden", "layers", "kernel_size", "mixture_components", "batch_size", "epochs",
+             "output_steps", "input_steps"],
+    )
+    def test_out_of_range_names_the_key(self, section, patch, named):
+        doc = tiny_config()
+        doc[section].update(patch)
+        with pytest.raises(ConfigError, match="^" + re.escape(named)):
+            parse(doc)
+
     def test_cross_checks_stay(self):
         doc = tiny_config()
         doc["data"]["kind"] = "csv"

@@ -7,7 +7,7 @@ from scipy.special import expit
 from mossl import encoder as enc
 from mossl.errors import ConfigError
 from mossl.gradcheck import grad_check
-from mossl.model import _Builder
+from mossl.model import AblationFlags, ModelConfig, ModelDims, _Builder, init_params
 from mossl.rng import derive_rng
 from mossl.tensor import Tensor
 from oracles import attention_loop, conv_loop, projection_loop
@@ -169,30 +169,32 @@ def build_encoder(seed, cfg, c_in=1):
 
 class TestEncode:
     def test_shape_preserving_with_kernel_one(self):
-        cfg = enc.EncoderConfig(hidden=3, layers=1, kernel_size=1, dilations=(1,))
+        cfg = ModelConfig(hidden=3, layers=1, kernel_size=1, dilations=(1,))
         params, _ = build_encoder(10, cfg)
         x = rng(15).standard_normal((5, 2, 2, 1))
         out = enc.encode(Tensor(x), params.input_proj, params.layers, cfg)
         assert out.shape == (5, 2, 2, 3)
 
     def test_default_schedule_collapses_sixteen_steps(self):
-        cfg = enc.EncoderConfig(hidden=3, layers=4, kernel_size=2, dilations=(1, 2, 4, 8))
-        assert cfg.output_steps(16) == 1
+        cfg = ModelConfig(hidden=3, layers=4, kernel_size=2, dilations=(1, 2, 4, 8))
+        assert cfg.receptive_field == 16
         params, _ = build_encoder(11, cfg)
         x = rng(16).standard_normal((16, 2, 2, 1))
         out = enc.encode(Tensor(x), params.input_proj, params.layers, cfg)
         assert out.shape == (1, 2, 2, 3)
 
     def test_schedule_must_leave_a_step(self):
+        cfg = ModelConfig(hidden=3, layers=4, kernel_size=2, dilations=(1, 2, 4, 8))
+        dims = ModelDims(input_steps=15, output_steps=1, nodes=2, modalities=2)
         with pytest.raises(ConfigError, match="dilation"):
-            enc.EncoderConfig(hidden=3, layers=4, kernel_size=2, dilations=(1, 2, 4, 8)).output_steps(15)
+            init_params(cfg, dims, AblationFlags(), seed=0)
 
     def test_dilation_count_must_match_layers(self):
         with pytest.raises(ConfigError, match="schedule"):
-            enc.EncoderConfig(hidden=3, layers=3, kernel_size=2, dilations=(1, 2))
+            ModelConfig(hidden=3, layers=3, kernel_size=2, dilations=(1, 2))
 
     def test_causality_end_to_end(self):
-        cfg = enc.EncoderConfig(hidden=3, layers=2, kernel_size=2, dilations=(1, 2))
+        cfg = ModelConfig(hidden=3, layers=2, kernel_size=2, dilations=(1, 2))
         params, _ = build_encoder(12, cfg)
         x = rng(17).standard_normal((6, 2, 2, 1))
         base = enc.encode(Tensor(x), params.input_proj, params.layers, cfg).data
@@ -205,8 +207,8 @@ class TestEncode:
         assert not np.allclose(out[-1], base[-1])
 
     def test_residual_flag_changes_output_not_shape(self):
-        base_cfg = enc.EncoderConfig(hidden=3, layers=2, kernel_size=2, dilations=(1, 2))
-        res_cfg = enc.EncoderConfig(hidden=3, layers=2, kernel_size=2, dilations=(1, 2), residual=True)
+        base_cfg = ModelConfig(hidden=3, layers=2, kernel_size=2, dilations=(1, 2))
+        res_cfg = ModelConfig(hidden=3, layers=2, kernel_size=2, dilations=(1, 2), residual=True)
         params, _ = build_encoder(13, base_cfg)
         x = np.abs(rng(18).standard_normal((6, 2, 2, 1)))
         plain = enc.encode(Tensor(x), params.input_proj, params.layers, base_cfg)
@@ -215,7 +217,7 @@ class TestEncode:
         assert not np.allclose(plain.data, skip.data)
 
     def test_gradients_pass_finite_difference_check(self):
-        cfg = enc.EncoderConfig(hidden=3, layers=2, kernel_size=2, dilations=(1, 2))
+        cfg = ModelConfig(hidden=3, layers=2, kernel_size=2, dilations=(1, 2))
         params, builder = build_encoder(14, cfg)
         for name, p in builder.named.items():
             p.data += derive_rng(3, "offset", name).uniform(-0.05, 0.05, p.shape)

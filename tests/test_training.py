@@ -161,6 +161,16 @@ class TestTrainLoop:
         # with lr=0 validation never improves after the first epoch
         assert len(result.history) == 3
 
+    def test_early_stopping_returns_the_best_val_epoch(self):
+        prepared = tiny_prepared()
+        cfg = tiny_train_cfg(epochs=30, learning_rate=0.1, early_stop_patience=2)
+        result = train(prepared, TINY_MODEL, cfg, seed=6, quiet=True)
+        rmses = [record["val_rmse"] for record in result.history]
+        best = int(np.argmin(rmses))
+        assert best < len(rmses) - 1  # training ran past its best epoch
+        assert result.val_metrics.mean_rmse == rmses[best]
+        assert evaluate(result.params, TINY_MODEL, prepared, "val") == result.val_metrics
+
     def test_seeded_masks_differ_across_epochs(self):
         from mossl.training import window_mask_uniforms
 
