@@ -39,7 +39,7 @@ class DataConfig:
     synthetic_seed: int | None = None
 
     def __post_init__(self):
-        require_at_least_one(self, "input_steps", "output_steps")
+        require_at_least_one(self, "input_steps", "output_steps", "stride")
 
 
 @dataclass
@@ -112,7 +112,10 @@ def _coerce(tp, value, key: str):
     if tp is SplitSpec:
         if not isinstance(value, list) or len(value) != 3:
             raise ConfigError(f"{key} must be a list of three fractions")
-        return SplitSpec(*(_coerce(float, v, key) for v in value))
+        try:
+            return SplitSpec(*(_coerce(float, v, key) for v in value))
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     if is_dataclass(tp):
         return _build(tp, value, key)
     if typing.get_origin(tp) is tuple:  # tuple[X, ...]

@@ -4,7 +4,8 @@ dilated causal convolution, stacked into layers.
 Representations are laid out [..., time, node, modality, channel].  Each
 layer attends over the modality and node axes of its input, concatenates
 the three views on the channel axis, and pushes them through a gated
-temporal convolution that shrinks the time axis by (kernel-1)*dilation.
+temporal convolution along time.  Each layer computes only the time steps
+that reach the encoder's output.
 """
 
 from __future__ import annotations
@@ -103,26 +104,45 @@ def spatial_attention(h: Tensor, attn: AttentionParams) -> Tensor:
     return axis_attention(h, attn, axis=-3)
 
 
-def temporal_conv_layer(h_cat: Tensor, conv: ConvParams, dilation: int) -> Tensor:
-    """Gated causal convolution along time of [..., T, N, M, 3C] -> [..., T', N, M, C]."""
+def temporal_conv_layer(
+    h_cat: Tensor, conv: ConvParams, dilation: int | None = None, *, taps=None
+) -> Tensor:
+    """Gated causal convolution along time of [..., T, N, M, 3C] -> [..., T', N, M, C].
+
+    ``taps`` picks the output steps from the input steps, or ``dilation``
+    computes them all; see ``dilated_causal_conv``.
+    """
     moved = h_cat.swapaxes(-4, -2)  # [..., M, N, T, 3C]
-    filtered = dilated_causal_conv(moved, conv.filter_kernel, dilation) + conv.filter_bias
-    gated = dilated_causal_conv(moved, conv.gate_kernel, dilation) + conv.gate_bias
+    filtered = dilated_causal_conv(moved, conv.filter_kernel, dilation, taps=taps)
+    filtered = filtered + conv.filter_bias
+    gated = dilated_causal_conv(moved, conv.gate_kernel, dilation, taps=taps) + conv.gate_bias
     mixed = linear(tanh(filtered) * sigmoid(gated), conv.mix_weight, conv.mix_bias)
     return mixed.swapaxes(-4, -2)
 
 
+def _time_index(steps) -> tuple:
+    """Index along the time axis of [..., T, N, M, C]."""
+    return (Ellipsis, steps, slice(None), slice(None), slice(None))
+
+
 def encode(x: Tensor, proj: ProjectionParams, layers: list[LayerParams], cfg: ModelConfig) -> Tensor:
-    """Full encoder pass: [..., T, N, M, C_in] -> [..., T_out, N, M, hidden]."""
+    """Full encoder pass: [..., T, N, M, C_in] -> [..., T - receptive_field + 1, N, M, hidden].
+
+    Every layer computes only the time steps that reach the output
+    (``ModelConfig.time_plan``): input steps no output reads are never
+    projected, and attention and convolution run on the kept steps alone.
+    """
+    plan = cfg.time_plan(x.shape[-4])
+    if len(plan.steps[0]) < x.shape[-4]:
+        x = x[_time_index(plan.steps[0])]
     h = input_project(x, proj)
-    for layer, dilation in zip(layers, cfg.dilations, strict=True):
+    for layer, taps in zip(layers, plan.taps, strict=True):
         ma = modality_attention(h, layer.modality_attn)
         sa = spatial_attention(h, layer.spatial_attn)
         stacked = concat([h, ma, sa], axis=-1)
-        out = temporal_conv_layer(stacked, layer.conv, dilation)
+        out = temporal_conv_layer(stacked, layer.conv, taps=taps)
         if cfg.residual:
-            shrink = h.shape[-4] - out.shape[-4]
-            tail = (Ellipsis, slice(shrink, None), slice(None), slice(None), slice(None))
-            out = out + h[tail]
+            # the last tap reads each output step's own time step
+            out = out + h[_time_index(taps[-1])]
         h = out
     return h

@@ -17,6 +17,20 @@ from .rng import derive_rng
 from .tensor import Tensor, linear, parameter, relu, reshape, stop_gradient
 
 
+@dataclass(frozen=True)
+class TimePlan:
+    """Time steps of an encoder pass, from ``ModelConfig.time_plan``.
+
+    ``steps[l]`` holds the window steps kept at the input of layer l
+    (``steps[0]`` feeds the input projection, ``steps[-1]`` are the output
+    steps).  ``taps[l][j]`` indexes, within ``steps[l]``, the step kernel tap
+    j of layer l reads for each of the layer's output steps ``steps[l + 1]``.
+    """
+
+    steps: tuple[np.ndarray, ...]
+    taps: tuple[tuple[np.ndarray, ...], ...]
+
+
 @dataclass
 class ModelConfig:
     hidden: int = 48
@@ -42,6 +56,30 @@ class ModelConfig:
     def receptive_field(self) -> int:
         """Input steps the dilated convolutions collapse to the one step the predictor reads."""
         return 1 + (self.kernel_size - 1) * sum(self.dilations)
+
+    def time_plan(self, input_steps: int) -> TimePlan:
+        """The time steps each layer computes for a window of ``input_steps``.
+
+        Works back from the output steps ``receptive_field - 1 ... input_steps - 1``:
+        tap j of a layer with dilation d reads, for output step s, step
+        ``s - (k-1-j)*d`` of the layer's input, and a layer's input keeps the
+        union of what its taps read.  Steps no output reaches are never computed.
+        """
+        if input_steps < self.receptive_field:
+            raise ConfigError(
+                f"temporal window too short: {input_steps} steps cannot cover the receptive "
+                f"field {self.receptive_field} of kernel size {self.kernel_size} with "
+                f"dilations {self.dilations}"
+            )
+        k = self.kernel_size
+        steps = [np.arange(self.receptive_field - 1, input_steps)]
+        taps = []
+        for d in reversed(self.dilations):
+            reads = [steps[0] - (k - 1 - j) * d for j in range(k)]
+            kept = np.unique(np.concatenate(reads))
+            taps.insert(0, tuple(np.searchsorted(kept, r) for r in reads))
+            steps.insert(0, kept)
+        return TimePlan(steps=tuple(steps), taps=tuple(taps))
 
     def check_input_steps(self, input_steps: int, key: str) -> None:
         """Reject an input window, named ``key``, that does not collapse to exactly one step."""

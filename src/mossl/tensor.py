@@ -382,7 +382,7 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def take(x: Tensor, index) -> Tensor:
-    """Basic (slice/int) indexing; gradient scatters back into place."""
+    """Slice/int indexing, or one array of unique indices; gradient scatters back into place."""
     out = x.data[index]
 
     def backward_fn(g):
@@ -485,44 +485,79 @@ def logsumexp(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 # -- temporal convolution ---------------------------------------------------
 
 
-def dilated_causal_conv(x: Tensor, kernel: Tensor, dilation: int) -> Tensor:
-    """Valid causal convolution along axis -2 of ``x``.
+def _as_slice(index: np.ndarray):
+    """An evenly spaced index array as the equivalent slice, so reading it takes a view."""
+    step = int(index[1] - index[0]) if len(index) > 1 else 1
+    start, stop = int(index[0]), int(index[-1]) + 1
+    if start >= 0 and step > 0 and np.array_equal(index, np.arange(start, stop, step)):
+        return slice(start, stop, step)
+    return index
 
-    ``x`` is [..., T, C_in], ``kernel`` is [k, C_in, C_out]; the output is
-    [..., T - (k-1)*dilation, C_out] where output step t aggregates input
+
+def dilated_causal_conv(
+    x: Tensor, kernel: Tensor, dilation: int | None = None, *, taps: Sequence | None = None
+) -> Tensor:
+    """Causal convolution along axis -2 of ``x``, computing only the requested output steps.
+
+    ``x`` is [..., T, C_in], ``kernel`` is [k, C_in, C_out].  ``taps`` holds one
+    index array per kernel tap, all of length T'; output step i is the sum over
+    taps j of ``x[..., taps[j][i], :] @ kernel[j]``, so the output is
+    [..., T', C_out].  Indices within one tap must be unique.
+
+    ``dilation`` is the case where every output step is computed: the output
+    is [..., T - (k-1)*dilation, C_out] where output step t aggregates input
     steps t, t+dilation, ..., t+(k-1)*dilation (the window ending at the
-    aligned time step).
+    aligned time step).  Pass exactly one of ``dilation`` and ``taps``.
     """
     if kernel.ndim != 3:
         raise ShapeError(f"conv kernel must be [k, C_in, C_out], got {kernel.shape}")
     if x.shape[-1] != kernel.shape[1]:
         raise ShapeError(f"conv channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-    if dilation < 1:
-        raise ConfigError(f"dilation must be positive, got {dilation}")
     k = kernel.shape[0]
-    t_in = x.shape[-2]
-    t_out = t_in - (k - 1) * dilation
-    if t_out < 1:
-        raise ConfigError(
-            f"temporal window too short: {t_in} steps cannot support kernel {k} "
-            f"with dilation {dilation}"
-        )
-    out = np.zeros(x.shape[:-2] + (t_out, kernel.shape[2]), dtype=np.float64)
-    for j in range(k):
-        out += x.data[..., j * dilation : j * dilation + t_out, :] @ kernel.data[j]
+    if (dilation is None) == (taps is None):
+        raise ConfigError("dilated_causal_conv needs exactly one of dilation and taps")
+    if taps is None:
+        if dilation < 1:
+            raise ConfigError(f"dilation must be positive, got {dilation}")
+        t_in = x.shape[-2]
+        t_out = t_in - (k - 1) * dilation
+        if t_out < 1:
+            raise ConfigError(
+                f"temporal window too short: {t_in} steps cannot support kernel {k} "
+                f"with dilation {dilation}"
+            )
+        taps = [slice(j * dilation, j * dilation + t_out) for j in range(k)]
+    else:
+        taps = [np.asarray(tap) for tap in taps]
+        if len(taps) != k:
+            raise ShapeError(
+                f"conv needs one tap per kernel tap: {len(taps)} for kernel {kernel.shape}"
+            )
+        if len({len(tap) for tap in taps}) != 1 or len(taps[0]) == 0:
+            lengths = [len(tap) for tap in taps]
+            raise ShapeError(f"conv taps must be non-empty and equally long, got lengths {lengths}")
+        taps = [_as_slice(tap) for tap in taps]
+
+    def read(j: int) -> np.ndarray:
+        return x.data[..., taps[j], :]
+
+    out = read(0) @ kernel.data[0]
+    for j in range(1, k):
+        out += read(j) @ kernel.data[j]
 
     def backward_fn(g):
+        g_rows = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             for j in range(k):
-                gx[..., j * dilation : j * dilation + t_out, :] += g @ kernel.data[j].T
+                # taps hold unique indices, so a gathered += adds each row once
+                gx[..., taps[j], :] += (g_rows @ kernel.data[j].T).reshape(g.shape[:-1] + (-1,))
             x._accumulate(gx)
         if kernel.requires_grad:
             gk = np.zeros_like(kernel.data)
-            g_flat = g.reshape(-1, g.shape[-1])
             for j in range(k):
-                xs = x.data[..., j * dilation : j * dilation + t_out, :]
-                gk[j] = xs.reshape(-1, xs.shape[-1]).T @ g_flat
+                xs = read(j)
+                gk[j] = xs.reshape(-1, xs.shape[-1]).T @ g_rows
             kernel._accumulate(gk)
 
     return _make(out, (x, kernel), backward_fn)
@@ -531,8 +566,20 @@ def dilated_causal_conv(x: Tensor, kernel: Tensor, dilation: int) -> Tensor:
 # -- reverse pass -----------------------------------------------------------
 
 
+def _released(g):
+    raise ConfigError(
+        "backward over a released graph: recompute the loss before a second backward"
+    )
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into ``grad`` of every reachable leaf."""
+    """Accumulate d(loss)/d(leaf) into ``grad`` of every reachable leaf.
+
+    Each interior node is released as soon as its own backward has run: its
+    gradient, closure and parents are dropped, so the activations a closure
+    holds are freed during the pass rather than after it.  The graph can
+    therefore be differentiated once; a second backward raises ``ConfigError``.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
@@ -553,13 +600,15 @@ def backward(loss: Tensor) -> None:
             if id(p) not in seen:
                 stack.append((p, False))
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if node._backward is None:
+            continue  # a leaf keeps its grad
+        if node.grad is not None:
             node._backward(node.grad)
-    # free intermediate buffers; leaves keep their grads
-    for node in topo:
-        if node._backward is not None:
-            node.grad = None
+        node.grad = None
+        node._backward = _released
+        node._parents = ()
 
 
 def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ import numpy as np
 
 from .container import read_tensor, write_tensor
 from .data import NormStats, PreparedData
-from .errors import CheckpointError, DataError, require_at_least_one
+from .errors import CheckpointError, ConfigError, DataError, require_at_least_one
 from .model import (
     AblationFlags,
     LossWeights,
@@ -43,6 +44,13 @@ class TrainConfig:
 
     def __post_init__(self):
         require_at_least_one(self, "epochs", "batch_size")
+        if self.early_stop_patience is not None:
+            require_at_least_one(self, "early_stop_patience")
+        # zero is allowed: it freezes the parameters, a control run
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be non-negative and finite, got {self.learning_rate}"
+            )
 
 
 # -- Adam ---------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Brute-force reference implementations used as independent test oracles.
 
 Everything here is deliberately slow and loop-based (or delegates to scipy)
-so it shares no code path with the package under test.
+so it shares no code path with the package under test.  The one exception is
+``encode_every_step``: it reruns the package's own encoder blocks without the
+time plan, so the plan can be checked against the dense computation.
 """
 
 import math
@@ -9,6 +11,9 @@ import math
 import numpy as np
 from scipy.special import expit
 from scipy.stats import norm
+
+from mossl import encoder as enc
+from mossl.tensor import concat
 
 
 def fd_gradient(loss_fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -102,3 +107,20 @@ def contrastive_loop(r: np.ndarray, context: np.ndarray, w3: np.ndarray) -> floa
                     neg = expit(r[t, n, m_other] @ w3 @ context[m])
                     total -= math.log(1.0 - neg)
     return total
+
+
+def encode_every_step(x, proj, layers, cfg):
+    """The encoder computing every time step of every layer, with the ``dilation=`` conv.
+
+    Same blocks as ``encoder.encode``; the residual adds the last steps of
+    each layer's input.  Drop-in replacement for ``encoder.encode``.
+    """
+    h = enc.input_project(x, proj)
+    for layer, dilation in zip(layers, cfg.dilations, strict=True):
+        ma = enc.modality_attention(h, layer.modality_attn)
+        sa = enc.spatial_attention(h, layer.spatial_attn)
+        out = enc.temporal_conv_layer(concat([h, ma, sa], axis=-1), layer.conv, dilation)
+        if cfg.residual:
+            out = out + h[..., h.shape[-4] - out.shape[-4]:, :, :, :]
+        h = out
+    return h

@@ -141,9 +141,15 @@ class TestCoercion:
             ("train", {"epochs": 0}, "train: epochs must be at least 1, got 0"),
             ("data", {"output_steps": 0}, "data: output_steps must be at least 1, got 0"),
             ("data", {"input_steps": 5}, "data.input_steps must be 4,"),
+            ("data", {"stride": 0}, "data: stride must be at least 1, got 0"),
+            ("train", {"early_stop_patience": 0}, "train: early_stop_patience must be at least 1"),
+            ("train", {"learning_rate": -0.01}, "train: learning_rate must be non-negative"),
+            ("data", {"split": [0.7, 0.1, 0.1]}, "data.split: split fractions must sum to 1"),
+            ("data", {"split": [1.2, -0.1, -0.1]}, "data.split: split fractions must be non-negative"),
         ],
         ids=["hidden", "layers", "kernel_size", "mixture_components", "batch_size", "epochs",
-             "output_steps", "input_steps"],
+             "output_steps", "input_steps", "stride", "early_stop_patience", "learning_rate",
+             "split_sum", "split_negative"],
     )
     def test_out_of_range_names_the_key(self, section, patch, named):
         doc = tiny_config()

@@ -7,10 +7,18 @@ from scipy.special import expit
 from mossl import encoder as enc
 from mossl.errors import ConfigError
 from mossl.gradcheck import grad_check
-from mossl.model import AblationFlags, ModelConfig, ModelDims, _Builder, init_params
+from mossl.model import (
+    AblationFlags,
+    LossWeights,
+    ModelConfig,
+    ModelDims,
+    _Builder,
+    forward_pass,
+    init_params,
+)
 from mossl.rng import derive_rng
-from mossl.tensor import Tensor
-from oracles import attention_loop, conv_loop, projection_loop
+from mossl.tensor import Tensor, gradients
+from oracles import attention_loop, conv_loop, encode_every_step, projection_loop
 
 
 def rng(seed=0):
@@ -228,3 +236,99 @@ class TestEncode:
 
         report = grad_check(loss_fn, builder.named)
         assert report.max_rel_error < 1e-4, report.worst_param
+
+
+def max_rel_diff(got: dict, want: dict) -> float:
+    """Largest gradient difference, relative to each parameter's largest reference entry."""
+    worst = 0.0
+    for name, ref in want.items():
+        scale = max(float(np.abs(ref).max()), 1e-300)
+        worst = max(worst, float(np.abs(got[name] - ref).max()) / scale)
+    return worst
+
+
+SMALL = ModelConfig(hidden=16, layers=3, kernel_size=2, dilations=(1, 2, 4), mixture_components=3)
+
+# (model config, input steps, nodes, modalities, batch)
+PLAN_CASES = {
+    "small-train": (SMALL, 8, 6, 3, 16),
+    "residual": (ModelConfig(hidden=8, layers=3, dilations=(1, 2, 4), residual=True), 8, 4, 3, 3),
+    "kernel3": (ModelConfig(hidden=6, layers=2, kernel_size=3, dilations=(1, 3)), 9, 4, 3, 3),
+    # T=6 with dilations (1, 4): no output reads input steps 2 and 3
+    "skips-inputs": (ModelConfig(hidden=6, layers=2, dilations=(1, 4)), 6, 4, 3, 3),
+}
+
+
+class TestTimePlan:
+    def test_paper_schedule_layer_inputs(self):
+        plan = ModelConfig().time_plan(16)
+        assert [len(s) for s in plan.steps] == [16, 8, 4, 2, 1]
+        assert plan.steps[-1].tolist() == [15]
+
+    def test_small_schedule_layer_inputs(self):
+        plan = SMALL.time_plan(8)
+        assert [len(s) for s in plan.steps] == [8, 4, 2, 1]
+
+    def test_plan_skips_input_steps_no_output_reads(self):
+        cfg = ModelConfig(hidden=3, layers=2, kernel_size=2, dilations=(1, 4))
+        plan = cfg.time_plan(6)
+        assert plan.steps[0].tolist() == [0, 1, 4, 5]
+        assert plan.steps[1].tolist() == [1, 5]
+        # layer 2 reads steps 1 and 5 of its input, at positions 0 and 1 of the kept steps
+        assert [t.tolist() for t in plan.taps[1]] == [[0], [1]]
+
+    def test_taps_index_the_previous_layer(self):
+        cfg = ModelConfig(hidden=3, layers=2, kernel_size=3, dilations=(1, 3))
+        plan = cfg.time_plan(11)
+        k = cfg.kernel_size
+        for layer, dilation in enumerate(cfg.dilations):
+            for j, tap in enumerate(plan.taps[layer]):
+                read = plan.steps[layer][tap]
+                assert read.tolist() == (plan.steps[layer + 1] - (k - 1 - j) * dilation).tolist()
+                assert len(np.unique(tap)) == len(tap)
+
+    def test_window_shorter_than_receptive_field_is_config_error(self):
+        with pytest.raises(ConfigError, match="receptive field 16"):
+            ModelConfig().time_plan(15)
+
+    @pytest.mark.parametrize("case", sorted(PLAN_CASES))
+    def test_forward_pass_matches_every_step_reference(self, case, monkeypatch):
+        cfg, steps, nodes, modalities, batch = PLAN_CASES[case]
+        dims = ModelDims(input_steps=steps, output_steps=2, nodes=nodes, modalities=modalities)
+        params = init_params(cfg, dims, AblationFlags(), seed=5)
+        r = rng(40)
+        x = r.standard_normal((batch, steps, nodes, modalities))
+        y = r.standard_normal((batch, 2, nodes, modalities))
+        u = r.random(x.shape)
+
+        def run():
+            res = forward_pass(params, cfg, AblationFlags(), LossWeights(), x, y, mask_uniforms=u)
+            return res, gradients(res.total, params.named)
+
+        planned, planned_grads = run()
+        monkeypatch.setattr(enc, "encode", encode_every_step)
+        dense, dense_grads = run()
+        assert np.array_equal(planned.total.data, dense.total.data)
+        assert np.array_equal(planned.predictions.data, dense.predictions.data)
+        assert max_rel_diff(planned_grads, dense_grads) < 1e-12
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ModelConfig(hidden=4, layers=2, kernel_size=2, dilations=(1, 2), residual=True),
+            ModelConfig(hidden=4, layers=2, kernel_size=3, dilations=(1, 3)),
+        ],
+        ids=["doubling-residual", "kernel3"],
+    )
+    def test_longer_window_keeps_every_output_step(self, cfg):
+        params, builder = build_encoder(15, cfg)
+        steps = cfg.receptive_field + 3
+        x = Tensor(rng(41).standard_normal((2, steps, 3, 2, 1)))
+        probe = Tensor(rng(42).standard_normal((2, 4, 3, 2, 4)))
+        planned = enc.encode(x, params.input_proj, params.layers, cfg)
+        dense = encode_every_step(x, params.input_proj, params.layers, cfg)
+        assert planned.shape == dense.shape == (2, 4, 3, 2, 4)
+        assert np.array_equal(planned.data, dense.data)
+        planned_grads = gradients((planned * probe).sum(), builder.named)
+        dense_grads = gradients((dense * probe).sum(), builder.named)
+        assert max_rel_diff(planned_grads, dense_grads) < 1e-12

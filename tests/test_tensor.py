@@ -153,6 +153,29 @@ class TestDilatedCausalConv:
         assert np.array_equal(out[:-1], base[:-1])
         assert not np.allclose(out[-1], base[-1])
 
+    def test_taps_select_output_steps_of_the_dilation_case(self):
+        x = rng(13).standard_normal((2, 9, 3))
+        kernel = rng(14).standard_normal((3, 3, 2))
+        dense = T.dilated_causal_conv(T.Tensor(x), T.Tensor(kernel), dilation=2).data
+        rows = np.array([0, 3, 4])
+        taps = tuple(rows + 2 * j for j in range(3))
+        out = T.dilated_causal_conv(T.Tensor(x), T.Tensor(kernel), taps=taps).data
+        assert np.array_equal(out, dense[:, rows])
+
+    def test_needs_exactly_one_of_dilation_and_taps(self):
+        x, kernel = T.Tensor(np.zeros((4, 1))), T.Tensor(np.zeros((2, 1, 1)))
+        with pytest.raises(ConfigError, match="exactly one"):
+            T.dilated_causal_conv(x, kernel)
+        with pytest.raises(ConfigError, match="exactly one"):
+            T.dilated_causal_conv(x, kernel, 1, taps=(np.arange(3), np.arange(1, 4)))
+
+    def test_taps_must_match_the_kernel(self):
+        x, kernel = T.Tensor(np.zeros((4, 1))), T.Tensor(np.zeros((2, 1, 1)))
+        with pytest.raises(ShapeError, match="one tap per kernel tap"):
+            T.dilated_causal_conv(x, kernel, taps=(np.arange(3),))
+        with pytest.raises(ShapeError, match="equally long"):
+            T.dilated_causal_conv(x, kernel, taps=(np.arange(3), np.arange(2)))
+
     def test_time_exhaustion_is_config_error(self):
         with pytest.raises(ConfigError):
             T.dilated_causal_conv(
@@ -197,6 +220,12 @@ _OP_CASES = {
     "matmul_batched": lambda x: x @ T.Tensor(rng(27).standard_normal((x.shape[-1], 3))),
     "conv": lambda x: T.dilated_causal_conv(
         x, T.Tensor(rng(28).standard_normal((2, x.shape[-1], 2))), dilation=1
+    ),
+    # one strided tap and one unordered tap, both reading step 2
+    "conv_taps": lambda x: T.dilated_causal_conv(
+        x,
+        T.Tensor(rng(29).standard_normal((2, x.shape[-1], 2))),
+        taps=(np.array([0, 2]), np.array([2, 1])),
     ),
 }
 
@@ -279,3 +308,22 @@ def test_shared_node_gradient_counts_both_paths():
     loss = (y + y).sum()
     grads = T.gradients(loss, {"x": x})
     assert np.allclose(grads["x"], [6.0], atol=1e-12)
+
+
+def test_backward_releases_interior_nodes():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    y = x * x
+    T.backward((y * T.Tensor([3.0, 5.0])).sum())
+    assert np.allclose(x.grad, [6.0, 20.0], atol=1e-12)
+    assert y.grad is None and y._parents == ()
+
+
+def test_second_backward_over_released_graph_is_config_error():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    hidden = T.tanh(x)
+    loss = (hidden * x).sum()
+    T.gradients(loss, {"x": x})
+    with pytest.raises(ConfigError, match="released graph"):
+        T.gradients(loss, {"x": x})
+    with pytest.raises(ConfigError, match="released graph"):
+        T.backward((hidden * T.Tensor(2.0)).sum())
