@@ -28,6 +28,7 @@ from .errors import CheckpointError, DataError
 from .gradcheck import GradCheckReport, grad_check
 from .model import AblationFlags, ModelDims, forward_pass, init_params
 from .rng import derive_rng
+from .tensor import no_grad
 from .training import (
     Metrics,
     TrainResult,
@@ -191,9 +192,10 @@ def run_gradcheck(cfg: RunConfig, quiet: bool = False) -> GradCheckReport:
     mask_override = None
     if flags.masked_view:
         uniforms = derive_rng(cfg.seed, "gradcheck-mask").random(x.shape)
-        first = forward_pass(
-            params, cfg.model, flags, weights, x, y, mask_uniforms=uniforms, training=True
-        )
+        with no_grad():
+            first = forward_pass(
+                params, cfg.model, flags, weights, x, y, mask_uniforms=uniforms, training=True
+            )
         mask_override = first.mask
 
     def loss_fn():
@@ -244,9 +246,10 @@ def export_representations(
                     for i in range(start, start + x.shape[0])
                 ]
             )
-        res = forward_pass(
-            params, cfg.model, flags, weights, x, y=None, mask_uniforms=uniforms, training=True
-        )
+        with no_grad():
+            res = forward_pass(
+                params, cfg.model, flags, weights, x, y=None, mask_uniforms=uniforms, training=True
+            )
         h_parts.append(res.h.data)
         if res.h_second is not None:
             h2_parts.append(res.h_second.data)

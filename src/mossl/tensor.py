@@ -8,7 +8,8 @@ accumulate on leaves during :func:`backward`.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .errors import ConfigError, DomainError, ShapeError
 __all__ = [
     "Tensor",
     "parameter",
+    "no_grad",
     "backward",
     "gradients",
     "concat",
@@ -68,10 +70,16 @@ class Tensor:
 
     # -- graph plumbing ------------------------------------------------
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = True) -> None:
+        """Add ``g`` into ``grad``.
+
+        ``owned`` means the op has just computed ``g`` and nothing else holds
+        it, so a first gradient is adopted as is.  A pass-through or view of
+        the upstream gradient (``owned=False``) is copied, because it may
+        alias a buffer another node also receives or adds into.
+        """
         if self.grad is None:
-            # copy: g may alias an upstream gradient buffer (identity ops)
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = np.asarray(g, dtype=np.float64) if owned else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -137,9 +145,30 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no autodiff graph inside the block.
+
+    Every op still computes its output, but the result is a plain tensor:
+    no parents, no backward closure, ``requires_grad`` False.  An
+    intermediate array is then freed as soon as nothing reads it, instead
+    of living on the tape until the result goes away.  Nests, and restores
+    the previous state on exit, also when the block raises.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward_fn
@@ -159,6 +188,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _accumulate_unbroadcast(x: Tensor, g: np.ndarray) -> None:
+    """Pass the upstream gradient ``g`` on to ``x``, reduced to its shape."""
+    gx = _unbroadcast(g, x.shape)
+    x._accumulate(gx, owned=gx is not g)
+
+
 # -- elementwise arithmetic ---------------------------------------------
 
 
@@ -167,9 +202,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
+            _accumulate_unbroadcast(a, g)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+            _accumulate_unbroadcast(b, g)
 
     return _make(out, (a, b), backward_fn)
 
@@ -179,7 +214,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
+            _accumulate_unbroadcast(a, g)
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.shape))
 
@@ -245,17 +280,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     """
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear extents differ: input {x.shape} vs weight {weight.shape}")
-    pre = x.data @ weight.data
-    pre += bias.data
+    out = x.data @ weight.data
+    out += bias.data
     if relu:
-        mask = pre > 0.0
-        out = np.where(mask, pre, 0.0)
-    else:
-        mask = None
-        out = pre
+        np.fmax(out, 0.0, out=out)
 
     def backward_fn(g):
-        gpre = g * mask if relu else g
+        gpre = g * (out > 0.0) if relu else g
         if x.requires_grad:
             x._accumulate(gpre @ weight.data.T)
         if weight.requires_grad:
@@ -272,12 +303,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tenso
 
 
 def relu(x: Tensor) -> Tensor:
-    # subgradient at 0 is defined as 0
-    mask = x.data > 0.0
-    out = np.where(mask, x.data, 0.0)
+    # fmax, not maximum, so NaN maps to 0; the subgradient at 0 is defined
+    # as 0, so out > 0 is the pass-through mask
+    out = np.fmax(x.data, 0.0)
 
     def backward_fn(g):
-        x._accumulate(g * mask)
+        x._accumulate(g * (out > 0.0))
 
     return _make(out, (x,), backward_fn)
 
@@ -292,12 +323,11 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # split by sign so exp never overflows
-    pos = z >= 0
-    out = np.empty_like(z)
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # exp(-|z|) never overflows: e / (1 + e) for z < 0, 1 / (1 + e) for z >= 0
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    out = np.divide(e, d, out=np.empty_like(z))  # an array also for 0-d z
+    np.divide(1.0, d, out=out, where=z >= 0)
     return out
 
 
@@ -365,7 +395,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     out = x.data.reshape(shape)
 
     def backward_fn(g):
-        x._accumulate(g.reshape(x.shape))
+        x._accumulate(g.reshape(x.shape), owned=False)
 
     return _make(out, (x,), backward_fn)
 
@@ -376,7 +406,7 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     inverse = np.argsort(axes)
 
     def backward_fn(g):
-        x._accumulate(np.transpose(g, inverse))
+        x._accumulate(np.transpose(g, inverse), owned=False)
 
     return _make(out, (x,), backward_fn)
 
@@ -398,7 +428,7 @@ def broadcast_to(x: Tensor, shape: Sequence[int]) -> Tensor:
     out = np.broadcast_to(x.data, shape).copy()
 
     def backward_fn(g):
-        x._accumulate(_unbroadcast(g, x.shape))
+        _accumulate_unbroadcast(x, g)
 
     return _make(out, (x,), backward_fn)
 
@@ -414,7 +444,7 @@ def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
             if p.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(start, stop)
-                p._accumulate(g[tuple(idx)])
+                p._accumulate(g[tuple(idx)], owned=False)
 
     return _make(out, tuple(parts), backward_fn)
 

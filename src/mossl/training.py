@@ -25,7 +25,7 @@ from .model import (
     init_params,
 )
 from .rng import derive_rng
-from .tensor import Tensor, gradients
+from .tensor import Tensor, gradients, no_grad
 
 logger = logging.getLogger("mossl")
 
@@ -159,7 +159,10 @@ def split_predictions(
     split: str,
     batch_size: int = 64,
 ) -> np.ndarray:
-    """Original-view predictions for a split, denormalized, [W, O, N, M]."""
+    """Original-view predictions for a split, denormalized, [W, O, N, M].
+
+    Nothing runs backward here, so the passes record no tape.
+    """
     ws = prepared.splits[split]
     if ws.count == 0:
         raise DataError(f"split '{split}' has no windows")
@@ -168,7 +171,8 @@ def split_predictions(
     chunks = []
     for start in range(0, ws.count, batch_size):
         x = ws.x[start : start + batch_size]
-        res = forward_pass(params, model_cfg, flags, weights, x, y=None, training=False)
+        with no_grad():
+            res = forward_pass(params, model_cfg, flags, weights, x, y=None, training=False)
         chunks.append(res.predictions.data)
     return prepared.stats.invert(np.concatenate(chunks, axis=0))
 

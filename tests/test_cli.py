@@ -1,11 +1,13 @@
 """End-to-end command-line behavior, exit codes included."""
 
+import contextlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mossl import runs as runs_module
 from mossl.cli import main
 from mossl.container import load_tensor
 
@@ -160,6 +162,22 @@ class TestTrainEval:
         assert np.max(np.abs(gamma.sum(axis=1) - 1.0)) < 1e-12
         assert load_tensor(out / "means.mostt").shape == (windows, 2, 4)
         assert load_tensor(out / "variances.mostt").shape == (windows, 2, 4)
+
+    def test_export_repr_files_equal_the_taped_export(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, tiny_config())
+        runs = tmp_path / "runs"
+        run(["train", "--config", cfg, "--out", runs, "--quiet"])
+        checkpoint = single_run_dir(runs) / "checkpoint.mossl"
+        export = ["export-repr", "--config", cfg, "--checkpoint", checkpoint, "--quiet"]
+        assert run(export + ["--out", tmp_path / "repr"]) == 0
+        # recording left on: the forward passes build their two-view tapes
+        monkeypatch.setattr(runs_module, "no_grad", contextlib.nullcontext)
+        assert run(export + ["--out", tmp_path / "taped"]) == 0
+        files = sorted(p.name for p in (tmp_path / "repr").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "taped").iterdir())
+        assert len(files) == 6
+        for name in files:
+            assert (tmp_path / "repr" / name).read_bytes() == (tmp_path / "taped" / name).read_bytes(), name
 
 
 class TestAblate:

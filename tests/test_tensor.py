@@ -183,6 +183,60 @@ class TestDilatedCausalConv:
             )
 
 
+# NaN, signed zeros, infinities and values whose exp over- or underflows
+_SPECIAL = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1.5, -2.5, 1e-300])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestKernels:
+    """The relu and sigmoid kernels against the formulas they replaced."""
+
+    @staticmethod
+    def old_relu(z):
+        return np.where(z > 0.0, z, 0.0)
+
+    @staticmethod
+    def old_sigmoid(z):
+        pos = z >= 0
+        out = np.empty_like(z)
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def test_relu_is_bit_equal_and_keeps_its_mask(self):
+        x = T.Tensor(_SPECIAL, requires_grad=True)
+        probe = rng(60).standard_normal(_SPECIAL.shape)
+        out = T.relu(x)
+        assert np.array_equal(_bits(out.data), _bits(self.old_relu(_SPECIAL)))
+        grad = T.gradients((out * T.Tensor(probe)).sum(), {"x": x})["x"]
+        assert np.array_equal(_bits(grad), _bits(probe * (_SPECIAL > 0.0)))
+
+    def test_linear_relu_is_bit_equal_and_keeps_its_mask(self):
+        # identity weight and zero bias: the pre-activation is the input itself
+        x = T.Tensor(_SPECIAL[:, None], requires_grad=True)
+        weight = T.Tensor(np.ones((1, 1)))
+        bias = T.Tensor(np.zeros(1))
+        probe = rng(61).standard_normal((_SPECIAL.size, 1))
+        out = T.linear(x, weight, bias, relu=True)
+        pre = _SPECIAL[:, None] @ np.ones((1, 1)) + np.zeros(1)
+        assert np.array_equal(_bits(out.data), _bits(self.old_relu(pre)))
+        grad = T.gradients((out * T.Tensor(probe)).sum(), {"x": x})["x"]
+        assert np.array_equal(_bits(grad), _bits((probe * (pre > 0.0)) @ np.ones((1, 1))))
+
+    def test_sigmoid_is_bit_equal_and_nan_stays_nan(self):
+        out = T.sigmoid(T.Tensor(_SPECIAL)).data
+        old = self.old_sigmoid(_SPECIAL)
+        nan = np.isnan(_SPECIAL)
+        assert np.isnan(out[nan]).all()
+        assert np.array_equal(_bits(out[~nan]), _bits(old[~nan]))
+        wide = rng(62).standard_normal(1000) * 40
+        assert np.array_equal(_bits(T.sigmoid(T.Tensor(wide)).data), _bits(self.old_sigmoid(wide)))
+
+
 def _offset(a):
     # keep relu/clip inputs away from their kinks
     return a + 0.1 * np.sign(a) + 0.05
@@ -310,6 +364,19 @@ def test_shared_node_gradient_counts_both_paths():
     assert np.allclose(grads["x"], [6.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("first", [0, 1])
+def test_pass_through_gradient_is_not_shared(first):
+    # add hands the same upstream gradient to both operands; a later
+    # contribution to one operand must not reach the other
+    p, q = rng(80).standard_normal(3), rng(81).standard_normal(3)
+    u = T.Tensor(rng(82).standard_normal(3), requires_grad=True)
+    v = T.Tensor(rng(83).standard_normal(3), requires_grad=True)
+    terms = [((u + v) * T.Tensor(p)).sum(), (u * T.Tensor(q)).sum()]
+    grads = T.gradients(terms[first] + terms[1 - first], {"u": u, "v": v})
+    assert np.array_equal(grads["u"], p + q)
+    assert np.array_equal(grads["v"], p)
+
+
 def test_backward_releases_interior_nodes():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     y = x * x
@@ -327,3 +394,31 @@ def test_second_backward_over_released_graph_is_config_error():
         T.gradients(loss, {"x": x})
     with pytest.raises(ConfigError, match="released graph"):
         T.backward((hidden * T.Tensor(2.0)).sum())
+
+
+def test_no_grad_builds_plain_tensors():
+    x = T.Tensor(rng(70).standard_normal((2, 3)), requires_grad=True)
+    w = T.Tensor(rng(71).standard_normal((3, 2)), requires_grad=True)
+    taped = T.tanh(x @ w) * x.sum()
+    with T.no_grad():
+        nodes = [x * x, x @ w, T.tanh(x @ w) * x.sum(), T.linear(x, w, T.Tensor(np.zeros(2)), relu=True)]
+    for node in nodes:
+        assert not node.requires_grad
+        assert node._parents == () and node._backward is None
+    assert np.array_equal(nodes[2].data, taped.data)
+    assert taped.requires_grad
+
+
+def test_no_grad_nests_and_restores_after_an_exception():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    with T.no_grad():
+        with T.no_grad():
+            assert not (x * x).requires_grad
+        assert not (x * x).requires_grad
+    assert (x * x).requires_grad
+    with pytest.raises(DomainError):
+        with T.no_grad():
+            T.log(x - 5.0)
+    y = x * x
+    assert y.requires_grad and y._parents == (x, x)
+    assert np.allclose(T.gradients(y.sum(), {"x": x})["x"], [2.0, 4.0], atol=1e-12)

@@ -1,8 +1,11 @@
 """Optimizer, metrics, trainer determinism, and checkpointing."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from mossl import tensor, training
 from mossl.data import SplitSpec, SynthSpec, prepare_windows, synth_generate
 from mossl.errors import CheckpointError
 from mossl.model import AblationFlags, LossWeights, ModelConfig, ModelDims, init_params
@@ -199,6 +202,30 @@ class TestEvaluate:
         for mi, name in enumerate(prepared.modality_names):
             expected_mae = np.mean(np.abs(truth[:, 0, :, mi] - prepared.stats.mean[mi]))
             assert metrics.lookup(name, 1).mae == pytest.approx(expected_mae, rel=1e-12)
+
+    def test_evaluation_records_no_tape(self, monkeypatch):
+        prepared = tiny_prepared()
+        params = train(prepared, TINY_MODEL, tiny_train_cfg(epochs=1), seed=12, quiet=True).params
+        made = []
+        make = tensor._make
+
+        def recording_make(data, parents, backward_fn):
+            out = make(data, parents, backward_fn)
+            made.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(tensor, "_make", recording_make)
+        predictions = split_predictions(params, TINY_MODEL, prepared, "test", batch_size=8)
+        metrics = evaluate(params, TINY_MODEL, prepared, "val")
+        assert made and not any(made)
+
+        # the same passes with recording left on build a tape and agree bit for bit
+        made.clear()
+        monkeypatch.setattr(training, "no_grad", contextlib.nullcontext)
+        taped = split_predictions(params, TINY_MODEL, prepared, "test", batch_size=8)
+        assert any(made)
+        assert np.array_equal(predictions, taped)
+        assert evaluate(params, TINY_MODEL, prepared, "val") == metrics
 
     def test_persistence_baseline_formula(self):
         prepared = tiny_prepared()
