@@ -10,12 +10,11 @@ that reach the encoder's output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError
-from .tensor import Tensor, concat, dilated_causal_conv, linear, sigmoid, softmax, tanh
+from .tensor import Tensor, attention, concat, dilated_causal_conv, gated_tanh, linear
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -72,26 +71,17 @@ def input_project(x: Tensor, p: ProjectionParams) -> Tensor:
     return project(x, p)
 
 
-def axis_attention(h: Tensor, attn: AttentionParams, axis: int, return_weights: bool = False):
-    """Scaled dot-product attention over one axis of [..., A, C].
+def axis_attention(h: Tensor, attn: AttentionParams, axis: int) -> Tensor:
+    """Scaled dot-product attention over one axis of [..., A, ..., C].
 
     Every slot on the attended axis queries all slots of the same axis at
     fixed positions of the remaining axes; rows of the score matrix are
-    softmax-normalized.
+    softmax-normalized.  The query, key and value projections act on the
+    channel axis, so they run as one packed GEMM on ``h`` in its own layout.
     """
-    axis = axis % h.ndim
-    moved = h if axis == h.ndim - 2 else h.swapaxes(axis, -2)
-    q = project(moved, attn.query)
-    k = project(moved, attn.key)
-    v = project(moved, attn.value)
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
-    weights = softmax(scores, axis=-1)
-    out = weights @ v
-    if axis != h.ndim - 2:
-        out = out.swapaxes(axis, -2)
-    if return_weights:
-        return out, weights
-    return out
+    weight = concat([attn.query.weight, attn.key.weight, attn.value.weight], axis=1)
+    bias = concat([attn.query.bias, attn.key.bias, attn.value.bias], axis=0)
+    return attention(linear(h, weight, bias, relu=True), axis)
 
 
 def modality_attention(h: Tensor, attn: AttentionParams) -> Tensor:
@@ -110,14 +100,13 @@ def temporal_conv_layer(
     """Gated causal convolution along time of [..., T, N, M, 3C] -> [..., T', N, M, C].
 
     ``taps`` picks the output steps from the input steps, or ``dilation``
-    computes them all; see ``dilated_causal_conv``.
+    computes them all; see ``dilated_causal_conv``.  Filter and gate run as
+    one convolution with their kernels side by side.
     """
-    moved = h_cat.swapaxes(-4, -2)  # [..., M, N, T, 3C]
-    filtered = dilated_causal_conv(moved, conv.filter_kernel, dilation, taps=taps)
-    filtered = filtered + conv.filter_bias
-    gated = dilated_causal_conv(moved, conv.gate_kernel, dilation, taps=taps) + conv.gate_bias
-    mixed = linear(tanh(filtered) * sigmoid(gated), conv.mix_weight, conv.mix_bias)
-    return mixed.swapaxes(-4, -2)
+    kernel = concat([conv.filter_kernel, conv.gate_kernel], axis=-1)
+    bias = concat([conv.filter_bias, conv.gate_bias], axis=0)
+    pre = dilated_causal_conv(h_cat, kernel, dilation, taps=taps, axis=-4) + bias
+    return linear(gated_tanh(pre), conv.mix_weight, conv.mix_bias)
 
 
 def _time_index(steps) -> tuple:

@@ -8,6 +8,7 @@ accumulate on leaves during :func:`backward`.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 
@@ -27,6 +28,8 @@ __all__ = [
     "logsumexp",
     "dilated_causal_conv",
     "linear",
+    "attention",
+    "gated_tanh",
     "relu",
     "tanh",
     "sigmoid",
@@ -248,25 +251,43 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 # -- contractions ---------------------------------------------------------
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as a 2-D [rows, C] array; a view when ``a`` is contiguous."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _shared_weight_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a 2-D ``w`` shared by every leading cell of ``x``, as one 2-D GEMM.
+
+    numpy's stacked matmul would run one small GEMM per leading cell.
+    """
+    return (_rows(x) @ w).reshape(x.shape[:-1] + w.shape[-1:])
+
+
+def _shared_weight_backward(x: Tensor, w: Tensor, g: np.ndarray) -> None:
+    """Input and weight gradients of ``x @ w`` for a 2-D ``w``: one 2-D GEMM each."""
+    if x.requires_grad:
+        x._accumulate(_shared_weight_matmul(g, w.data.T))
+    if w.requires_grad:
+        w._accumulate(_rows(x.data).T @ _rows(g))
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    out = a.data @ b.data
+    shared = b.ndim == 2
+    out = _shared_weight_matmul(a.data, b.data) if shared else a.data @ b.data
 
     def backward_fn(g):
+        if shared:
+            _shared_weight_backward(a, b, g)
+            return
         if a.requires_grad:
             a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
-            if b.ndim == 2:
-                # shared weight: one flattened GEMM instead of per-cell
-                # outer products reduced afterwards
-                a2 = a.data.reshape(-1, a.shape[-1])
-                g2 = g.reshape(-1, g.shape[-1])
-                b._accumulate(a2.T @ g2)
-            else:
-                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make(out, (a, b), backward_fn)
 
@@ -275,28 +296,63 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     """Fused x @ weight + bias with optional relu: one graph node.
 
     ``weight`` is [C_in, C_out], ``bias`` is [C_out]; both shared across all
-    leading axes of ``x``.  Equivalent to composing matmul/add/relu but with
-    far less intermediate traffic on the hot path.
+    leading axes of ``x``, so every product is one 2-D GEMM over the rows of
+    ``x`` (a view when ``x`` is contiguous).
     """
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear extents differ: input {x.shape} vs weight {weight.shape}")
-    out = x.data @ weight.data
+    out = _shared_weight_matmul(x.data, weight.data)
     out += bias.data
     if relu:
         np.fmax(out, 0.0, out=out)
 
     def backward_fn(g):
         gpre = g * (out > 0.0) if relu else g
-        if x.requires_grad:
-            x._accumulate(gpre @ weight.data.T)
-        if weight.requires_grad:
-            x2 = x.data.reshape(-1, x.shape[-1])
-            g2 = gpre.reshape(-1, gpre.shape[-1])
-            weight._accumulate(x2.T @ g2)
+        _shared_weight_backward(x, weight, gpre)
         if bias.requires_grad:
-            bias._accumulate(gpre.reshape(-1, gpre.shape[-1]).sum(axis=0))
+            bias._accumulate(_rows(gpre).sum(axis=0))
 
     return _make(out, (x, weight, bias), backward_fn)
+
+
+def attention(qkv: Tensor, axis: int) -> Tensor:
+    """Scaled dot-product self-attention over ``axis`` of packed [..., 3C] queries, keys, values.
+
+    Channels ``[:C]``, ``[C:2C]`` and ``[2C:]`` hold q, k and v.  Every slot on
+    the attended axis mixes the values of all slots on that axis at fixed
+    positions of the other axes with weights P = softmax(q k^T / sqrt(C));
+    the output is [..., C] with the attended axis in place.  One graph node:
+    it keeps only P, and its backward forms dS = P * (dP - rowsum(dP * P))
+    as in the FlashAttention backward, without tiling.
+    """
+    axis = axis % qkv.ndim
+    if axis == qkv.ndim - 1 or qkv.shape[-1] % 3:
+        raise ShapeError(f"attention needs [..., 3C] channels and another axis, got {qkv.shape}")
+    c = qkv.shape[-1] // 3
+    scale = 1.0 / math.sqrt(c)
+    moved = np.swapaxes(qkv.data, axis, -2)  # [..., A, 3C], a view
+    q, k, v = moved[..., :c], moved[..., c : 2 * c], moved[..., 2 * c :]
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= scale
+    p -= np.max(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.sum(p, axis=-1, keepdims=True)
+    out = np.swapaxes(p @ v, axis, -2)
+
+    def backward_fn(g):
+        g = np.swapaxes(g, axis, -2)
+        grad = np.empty_like(qkv.data)
+        gm = np.swapaxes(grad, axis, -2)
+        np.matmul(np.swapaxes(p, -1, -2), g, out=gm[..., 2 * c :])
+        ds = g @ np.swapaxes(v, -1, -2)  # dP
+        ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
+        ds *= p
+        ds *= scale
+        np.matmul(ds, k, out=gm[..., :c])
+        np.matmul(np.swapaxes(ds, -1, -2), q, out=gm[..., c : 2 * c])
+        qkv._accumulate(grad)
+
+    return _make(out, (qkv,), backward_fn)
 
 
 # -- nonlinearities -------------------------------------------------------
@@ -338,6 +394,23 @@ def sigmoid(x: Tensor) -> Tensor:
         x._accumulate(g * out * (1.0 - out))
 
     return _make(out, (x,), backward_fn)
+
+
+def gated_tanh(x: Tensor) -> Tensor:
+    """tanh of the first half of the channels times sigmoid of the second: [..., 2C] -> [..., C]."""
+    if x.shape[-1] % 2:
+        raise ShapeError(f"gated_tanh needs an even channel count, got {x.shape}")
+    c = x.shape[-1] // 2
+    t = np.tanh(x.data[..., :c])
+    s = _sigmoid(x.data[..., c:])
+
+    def backward_fn(g):
+        grad = np.empty_like(x.data)
+        grad[..., :c] = g * s * (1.0 - t * t)
+        grad[..., c:] = g * t * s * (1.0 - s)
+        x._accumulate(grad)
+
+    return _make(t * s, (x,), backward_fn)
 
 
 def log_sigmoid(x: Tensor) -> Tensor:
@@ -525,31 +598,40 @@ def _as_slice(index: np.ndarray):
 
 
 def dilated_causal_conv(
-    x: Tensor, kernel: Tensor, dilation: int | None = None, *, taps: Sequence | None = None
+    x: Tensor,
+    kernel: Tensor,
+    dilation: int | None = None,
+    *,
+    taps: Sequence | None = None,
+    axis: int = -2,
 ) -> Tensor:
-    """Causal convolution along axis -2 of ``x``, computing only the requested output steps.
+    """Causal convolution along the time axis of ``x``, computing only the requested output steps.
 
-    ``x`` is [..., T, C_in], ``kernel`` is [k, C_in, C_out].  ``taps`` holds one
-    index array per kernel tap, all of length T'; output step i is the sum over
-    taps j of ``x[..., taps[j][i], :] @ kernel[j]``, so the output is
-    [..., T', C_out].  Indices within one tap must be unique.
+    ``x`` is [..., T, *cells, C_in] with time at ``axis`` and channels last,
+    ``kernel`` is [k, C_in, C_out].  ``taps`` holds one index array per kernel
+    tap, all of length T'; output step i is the sum over taps j of input step
+    ``taps[j][i]`` times ``kernel[j]``, so the output is [..., T', *cells, C_out].
+    Indices within one tap must be unique.
 
     ``dilation`` is the case where every output step is computed: the output
-    is [..., T - (k-1)*dilation, C_out] where output step t aggregates input
-    steps t, t+dilation, ..., t+(k-1)*dilation (the window ending at the
-    aligned time step).  Pass exactly one of ``dilation`` and ``taps``.
+    has T - (k-1)*dilation steps where output step t aggregates input steps
+    t, t+dilation, ..., t+(k-1)*dilation (the window ending at the aligned
+    time step).  Pass exactly one of ``dilation`` and ``taps``.
     """
     if kernel.ndim != 3:
         raise ShapeError(f"conv kernel must be [k, C_in, C_out], got {kernel.shape}")
     if x.shape[-1] != kernel.shape[1]:
         raise ShapeError(f"conv channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-    k = kernel.shape[0]
+    axis = axis % x.ndim
+    if axis == x.ndim - 1:
+        raise ShapeError(f"conv time axis must not be the channel axis of {x.shape}")
+    k, c_in, c_out = kernel.shape
     if (dilation is None) == (taps is None):
         raise ConfigError("dilated_causal_conv needs exactly one of dilation and taps")
     if taps is None:
         if dilation < 1:
             raise ConfigError(f"dilation must be positive, got {dilation}")
-        t_in = x.shape[-2]
+        t_in = x.shape[axis]
         t_out = t_in - (k - 1) * dilation
         if t_out < 1:
             raise ConfigError(
@@ -566,28 +648,32 @@ def dilated_causal_conv(
         if len({len(tap) for tap in taps}) != 1 or len(taps[0]) == 0:
             lengths = [len(tap) for tap in taps]
             raise ShapeError(f"conv taps must be non-empty and equally long, got lengths {lengths}")
+        t_out = len(taps[0])
         taps = [_as_slice(tap) for tap in taps]
+    lead, cells = x.shape[:axis], x.shape[axis + 1 : -1]
+    steps = [(slice(None),) * axis + (tap,) for tap in taps]
 
     def read(j: int) -> np.ndarray:
-        return x.data[..., taps[j], :]
+        # cell axes merged into one: a view of a slice tap, one GEMM per time step
+        return x.data[steps[j]].reshape(lead + (t_out, -1, c_in)) if cells else x.data[steps[j]]
 
     out = read(0) @ kernel.data[0]
     for j in range(1, k):
         out += read(j) @ kernel.data[j]
+    out = out.reshape(lead + (t_out,) + cells + (c_out,))
 
     def backward_fn(g):
-        g_rows = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             for j in range(k):
-                # taps hold unique indices, so a gathered += adds each row once
-                gx[..., taps[j], :] += (g_rows @ kernel.data[j].T).reshape(g.shape[:-1] + (-1,))
+                # taps hold unique indices, so a gathered += adds each step once
+                gx[steps[j]] += _shared_weight_matmul(g, kernel.data[j].T)
             x._accumulate(gx)
         if kernel.requires_grad:
-            gk = np.zeros_like(kernel.data)
+            g_rows = _rows(g)
+            gk = np.empty_like(kernel.data)
             for j in range(k):
-                xs = read(j)
-                gk[j] = xs.reshape(-1, xs.shape[-1]).T @ g_rows
+                gk[j] = _rows(x.data[steps[j]]).T @ g_rows
             kernel._accumulate(gk)
 
     return _make(out, (x, kernel), backward_fn)

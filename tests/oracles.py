@@ -1,9 +1,12 @@
 """Brute-force reference implementations used as independent test oracles.
 
 Everything here is deliberately slow and loop-based (or delegates to scipy)
-so it shares no code path with the package under test.  The one exception is
-``encode_every_step``: it reruns the package's own encoder blocks without the
-time plan, so the plan can be checked against the dense computation.
+so it shares no code path with the package under test.  The exceptions are
+the two encoders at the end, built from the package's tape ops:
+``encode_every_step`` reruns the package's own encoder blocks without the
+time plan, so the plan can be checked against the dense computation, and
+``encode_unfused`` composes each block from small ops, so the fused blocks
+can be checked against it.
 """
 
 import math
@@ -13,7 +16,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from mossl import encoder as enc
-from mossl.tensor import concat
+from mossl.tensor import concat, dilated_causal_conv, linear, sigmoid, softmax, tanh
 
 
 def fd_gradient(loss_fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -122,5 +125,42 @@ def encode_every_step(x, proj, layers, cfg):
         out = enc.temporal_conv_layer(concat([h, ma, sa], axis=-1), layer.conv, dilation)
         if cfg.residual:
             out = out + h[..., h.shape[-4] - out.shape[-4]:, :, :, :]
+        h = out
+    return h
+
+
+def axis_attention_unfused(h, attn, axis):
+    """Attention over one axis with three projections of the swapped view and separate nodes."""
+    axis = axis % h.ndim
+    moved = h if axis == h.ndim - 2 else h.swapaxes(axis, -2)
+    q, k, v = (enc.project(moved, p) for p in (attn.query, attn.key, attn.value))
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    out = softmax(scores, axis=-1) @ v
+    return out if axis == h.ndim - 2 else out.swapaxes(axis, -2)
+
+
+def temporal_conv_unfused(h_cat, conv, taps):
+    """Gated conv along axis -2 of the time-swapped input, filter and gate convolved apart."""
+    moved = h_cat.swapaxes(-4, -2)  # [..., M, N, T, 3C]
+    filtered = dilated_causal_conv(moved, conv.filter_kernel, taps=taps) + conv.filter_bias
+    gated = dilated_causal_conv(moved, conv.gate_kernel, taps=taps) + conv.gate_bias
+    mixed = linear(tanh(filtered) * sigmoid(gated), conv.mix_weight, conv.mix_bias)
+    return mixed.swapaxes(-4, -2)
+
+
+def encode_unfused(x, proj, layers, cfg):
+    """The time-planned encoder with every layer built from unfused blocks.
+
+    Drop-in replacement for ``encoder.encode``.
+    """
+    plan = cfg.time_plan(x.shape[-4])
+    x = x[..., plan.steps[0], :, :, :]
+    h = enc.input_project(x, proj)
+    for layer, taps in zip(layers, plan.taps, strict=True):
+        ma = axis_attention_unfused(h, layer.modality_attn, axis=-2)
+        sa = axis_attention_unfused(h, layer.spatial_attn, axis=-3)
+        out = temporal_conv_unfused(concat([h, ma, sa], axis=-1), layer.conv, taps)
+        if cfg.residual:
+            out = out + h[..., taps[-1], :, :, :]
         h = out
     return h

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit
 
 from mossl import encoder as enc
+from mossl import tensor
 from mossl.errors import ConfigError
 from mossl.gradcheck import grad_check
 from mossl.model import (
@@ -18,7 +19,13 @@ from mossl.model import (
 )
 from mossl.rng import derive_rng
 from mossl.tensor import Tensor, gradients
-from oracles import attention_loop, conv_loop, encode_every_step, projection_loop
+from oracles import (
+    attention_loop,
+    conv_loop,
+    encode_every_step,
+    encode_unfused,
+    projection_loop,
+)
 
 
 def rng(seed=0):
@@ -94,9 +101,11 @@ class TestModalityAttention:
 
     def test_weights_are_row_stochastic(self):
         attn, _ = make_attention(3, 4)
+        # every value is relu(0 + 1) = 1, so each output entry is a row sum of P
+        attn.value.weight.data[...] = 0.0
+        attn.value.bias.data[...] = 1.0
         h = rng(8).standard_normal((2, 2, 3, 4))
-        _, weights = enc.axis_attention(Tensor(h), attn, axis=-2, return_weights=True)
-        sums = weights.data.sum(axis=-1)
+        sums = enc.axis_attention(Tensor(h), attn, axis=-2).data
         assert np.max(np.abs(sums - 1.0)) < 1e-12
 
     def test_permutation_equivariance(self):
@@ -332,3 +341,60 @@ class TestTimePlan:
         planned_grads = gradients((planned * probe).sum(), builder.named)
         dense_grads = gradients((dense * probe).sum(), builder.named)
         assert max_rel_diff(planned_grads, dense_grads) < 1e-12
+
+
+# (model config, flags, input steps, nodes, modalities, batch)
+FUSED_CASES = {
+    "small-train": (SMALL, AblationFlags(), 8, 6, 3, 16),
+    "residual-kernel3": (
+        ModelConfig(hidden=6, layers=2, kernel_size=3, dilations=(1, 3), residual=True),
+        AblationFlags(), 9, 4, 3, 3,
+    ),
+    "skips-inputs": (ModelConfig(hidden=6, layers=2, dilations=(1, 4)), AblationFlags(), 6, 4, 3, 3),
+    # the unshared aux encoder runs the fused layers with its own parameters
+    "no_mg": (SMALL, AblationFlags(no_mg=True), 8, 6, 3, 4),
+}
+
+
+def small_train_batch(cfg, flags, steps, nodes, modalities, batch):
+    dims = ModelDims(input_steps=steps, output_steps=2, nodes=nodes, modalities=modalities)
+    params = init_params(cfg, dims, flags, seed=5)
+    r = rng(43)
+    x = r.standard_normal((batch, steps, nodes, modalities))
+    y = r.standard_normal((batch, 2, nodes, modalities))
+    return params, x, y, r.random(x.shape)
+
+
+class TestFusedLayer:
+    @pytest.mark.parametrize("case", sorted(FUSED_CASES))
+    def test_forward_pass_matches_unfused_blocks(self, case, monkeypatch):
+        cfg, flags, *shape = FUSED_CASES[case]
+        params, x, y, u = small_train_batch(cfg, flags, *shape)
+
+        def run():
+            res = forward_pass(params, cfg, flags, LossWeights(), x, y, mask_uniforms=u)
+            return res, gradients(res.total, params.named)
+
+        fused, fused_grads = run()
+        monkeypatch.setattr(enc, "encode", encode_unfused)
+        unfused, unfused_grads = run()
+        want = float(unfused.total.data)
+        assert abs(float(fused.total.data) - want) <= 1e-12 * abs(want)
+        pred = unfused.predictions.data
+        assert np.max(np.abs(fused.predictions.data - pred)) <= 1e-12 * np.max(np.abs(pred))
+        assert max_rel_diff(fused_grads, unfused_grads) <= 1e-12
+
+    def test_small_train_step_tape_node_count(self, monkeypatch):
+        # a block that falls apart into small ops again shows here first
+        params, x, y, u = small_train_batch(SMALL, AblationFlags(), 8, 6, 3, 16)
+        taped = []
+        make = tensor._make
+
+        def counting_make(data, parents, backward_fn):
+            out = make(data, parents, backward_fn)
+            taped.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(tensor, "_make", counting_make)
+        forward_pass(params, SMALL, AblationFlags(), LossWeights(), x, y, mask_uniforms=u)
+        assert sum(taped) == 182

@@ -272,6 +272,16 @@ _OP_CASES = {
         relu=True,
     ),
     "matmul_batched": lambda x: x @ T.Tensor(rng(27).standard_normal((x.shape[-1], 3))),
+    # x is the 2-D weight shared by every leading cell of a rank-3 operand
+    "matmul_shared_weight": lambda x: T.Tensor(rng(32).standard_normal((2, 4, 3))) @ x[0],
+    # packed q/k/v with C=2, attending over the axis next to the channels
+    "attention": lambda x: T.attention(x @ T.Tensor(rng(33).standard_normal((3, 6))), axis=-2),
+    # and over axis 0 of a [3, 2, 6] input, another axis between it and the channels;
+    # the half-scale projection keeps the logits, and so the difference error, small
+    "attention_far_axis": lambda x: T.attention(
+        (x @ T.Tensor(0.5 * rng(34).standard_normal((3, 6)))).transpose((1, 0, 2)), axis=0
+    ),
+    "gated_tanh": lambda x: T.gated_tanh(x @ T.Tensor(rng(35).standard_normal((3, 4)))),
     "conv": lambda x: T.dilated_causal_conv(
         x, T.Tensor(rng(28).standard_normal((2, x.shape[-1], 2))), dilation=1
     ),
@@ -280,6 +290,20 @@ _OP_CASES = {
         x,
         T.Tensor(rng(29).standard_normal((2, x.shape[-1], 2))),
         taps=(np.array([0, 2]), np.array([2, 1])),
+    ),
+    # time on axis 0 of a non-contiguous [T=3, 2, C]: a slice, a strided and an unordered tap
+    "conv_axis": lambda x: T.dilated_causal_conv(
+        x.transpose((1, 0, 2)),
+        T.Tensor(rng(36).standard_normal((3, x.shape[-1], 2))),
+        taps=(np.array([0, 1]), np.array([0, 2]), np.array([2, 1])),
+        axis=0,
+    ),
+    # x is the [k=2, 3, 3] kernel, convolved along axis -3 of a [2, 3, 2, 3] input
+    "conv_axis_kernel": lambda x: T.dilated_causal_conv(
+        T.Tensor(rng(37).standard_normal((2, 3, 2, 3))),
+        x,
+        taps=(np.array([0, 1]), np.array([2, 0])),
+        axis=-3,
     ),
 }
 
