@@ -93,5 +93,6 @@ def gssl_loss(h: Tensor, state: MixtureState) -> Tensor:
     finite = np.isfinite(per_window.data)
     if not finite.all():
         bad = int(np.nonzero(~finite)[0][0])
-        raise NumericalError(f"mixture NLL is non-finite for window {bad} of the batch")
+        where = f" for window {bad} of the batch" if batch > 1 else ""
+        raise NumericalError(f"mixture NLL is non-finite{where}")
     return per_window.mean()

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
+from .parallel import run_shards
 
 __all__ = [
     "Tensor",
@@ -22,6 +23,7 @@ __all__ = [
     "no_grad",
     "backward",
     "gradients",
+    "shard_mean",
     "concat",
     "broadcast_to",
     "softmax",
@@ -688,8 +690,10 @@ def _released(g):
     )
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, seed: np.ndarray | None = None) -> None:
     """Accumulate d(loss)/d(leaf) into ``grad`` of every reachable leaf.
+
+    ``seed`` is the gradient the loss itself receives, one by default.
 
     Each interior node is released as soon as its own backward has run: its
     gradient, closure and parents are dropped, so the activations a closure
@@ -715,7 +719,7 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    loss._accumulate(np.ones_like(loss.data))
+    loss._accumulate(np.ones_like(loss.data) if seed is None else np.array(seed, dtype=np.float64))
     while topo:
         node = topo.pop()
         if node._backward is None:
@@ -725,6 +729,42 @@ def backward(loss: Tensor) -> None:
         node.grad = None
         node._backward = _released
         node._parents = ()
+
+
+def shard_mean(
+    value,
+    shard_losses: Sequence[Tensor],
+    shard_leaves: Sequence[dict[str, Tensor]],
+    masters: dict[str, Tensor],
+) -> Tensor:
+    """The mean of scalar losses of independent shard graphs, as one node over ``masters``.
+
+    Shard b's graph was built on ``shard_leaves[b]``: fresh leaves over the
+    arrays of ``masters``, under the same names.  ``value`` is the mean as the
+    caller computed it.  The backward runs every shard's backward on the pool
+    (``parallel.run_shards``), each seeded with its share g / shards as a
+    batched mean would pass it on, then adds the shards' leaf gradients into
+    each master in shard order and drops them.
+    """
+    count = len(shard_losses)
+
+    def backward_fn(g):
+        seed = g / count
+        run_shards(lambda b: backward(shard_losses[b], seed), count)
+        for name, master in masters.items():
+            summed = None
+            for leaves in shard_leaves:
+                leaf = leaves[name]
+                if leaf.grad is not None:
+                    if summed is None:
+                        summed = leaf.grad
+                    else:
+                        summed += leaf.grad
+                    leaf.grad = None
+            if summed is not None:
+                master._accumulate(summed)
+
+    return _make(np.asarray(value, dtype=np.float64), tuple(masters.values()), backward_fn)
 
 
 def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
