@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, load_config
-from .data import save_csv, save_prepared, load_csv
+from .data import save_csv, save_prepared
 from .errors import MosslError
 from .runs import (
     GRADCHECK_THRESHOLD,
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = commands.add_parser("synth", help="materialize a synthetic dataset as CSV")
     train = commands.add_parser("train", help="train a model into a timestamped run directory")
-    prepare = commands.add_parser("prepare", help="validate a CSV and write a prepared dataset")
+    prepare = commands.add_parser("prepare", help="validate a dataset and write it prepared")
     evaluate_cmd = commands.add_parser("eval", help="evaluate a checkpoint on a split")
     gradcheck = commands.add_parser("gradcheck", help="finite-difference check of the objective")
     export = commands.add_parser("export-repr", help="dump representations and mixture state")
@@ -91,10 +91,7 @@ def cmd_synth(args) -> int:
 
 def cmd_prepare(args) -> int:
     cfg = _load(args)
-    descriptor = None
-    if cfg.data.descriptor:
-        descriptor = json.loads(Path(cfg.data.descriptor).read_text())
-    series = load_csv(cfg.data.path, descriptor)
+    series = series_from_config(cfg)
     out = _out_root(args)
     save_prepared(series, out)
     logger.info("prepared dataset written to %s", out)

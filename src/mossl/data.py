@@ -53,6 +53,12 @@ class MoSTSeries:
                 f"axis metadata lengths ({len(self.time_labels)}, {len(self.node_ids)}, "
                 f"{len(self.modality_names)}) do not match value shape {self.values.shape}"
             )
+        if not np.isfinite(self.values).all():
+            ti, ni, mi = np.argwhere(~np.isfinite(self.values))[0]
+            raise DataError(
+                f"non-finite value {self.values[ti, ni, mi]} at time {self.time_labels[ti]!r}, "
+                f"node {self.node_ids[ni]!r}, modality {self.modality_names[mi]!r}"
+            )
         keys = np.array([_parse_time(str(lbl)) for lbl in self.time_labels])
         if len(keys) > 1:
             steps = np.diff(keys)
@@ -145,17 +151,12 @@ def make_windows(
     start: int = 0,
     stop: int | None = None,
 ) -> WindowSet:
-    """Gather every window whose input and target both fit inside [start, stop)."""
+    """Gather every window whose input and target both fit inside [start, stop), if any."""
     if stop is None:
         stop = values.shape[0]
     if stride < 1:
         raise ConfigError(f"stride must be positive, got {stride}")
     span = input_steps + output_steps
-    if stop - start < span:
-        raise DataError(
-            f"range of {stop - start} steps is too short for input {input_steps} "
-            f"+ output {output_steps}"
-        )
     starts = np.arange(start, stop - span + 1, stride, dtype=np.int64)
     steps = starts[:, None] + np.arange(span)  # [count, span]
     return WindowSet(
@@ -187,16 +188,10 @@ def prepare_windows(
     segments = split.segments(series.num_steps)
     stats = zscore_fit(series, segments["train"])
     normalized = stats.apply(series.values)
-    splits = {}
-    for name, (start, stop) in segments.items():
-        if stop - start < input_steps + output_steps:
-            splits[name] = WindowSet(
-                x=np.zeros((0, input_steps, series.num_nodes, series.num_modalities)),
-                y=np.zeros((0, output_steps, series.num_nodes, series.num_modalities)),
-                anchors=np.zeros(0, dtype=np.int64),
-            )
-            continue
-        splits[name] = make_windows(normalized, input_steps, output_steps, stride, start, stop)
+    splits = {
+        name: make_windows(normalized, input_steps, output_steps, stride, start, stop)
+        for name, (start, stop) in segments.items()
+    }
     return PreparedData(
         stats=stats,
         splits=splits,
@@ -224,7 +219,7 @@ def load_csv(path: str | Path, descriptor: dict | None = None) -> MoSTSeries:
     times: dict[str, None] = {}
     nodes: dict[str, None] = {}
     modalities: dict[str, None] = {}
-    with open(path, newline="") as fh:
+    with _open_input(path, "CSV") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing_cols = [c for c in REQUIRED_COLUMNS if c not in header]
@@ -269,6 +264,25 @@ def load_csv(path: str | Path, descriptor: dict | None = None) -> MoSTSeries:
     return MoSTSeries(values, time_labels, node_ids, modality_names)
 
 
+def load_descriptor(path: str | Path) -> dict:
+    """The JSON object of a dataset descriptor: axis order and counts for ``load_csv``."""
+    with _open_input(Path(path), "descriptor") as fh:
+        try:
+            descriptor = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"descriptor {path} is not valid JSON: {exc}") from exc
+    if not isinstance(descriptor, dict):
+        raise DataError(f"descriptor {path} must hold a JSON object")
+    return descriptor
+
+
+def _open_input(path: Path, what: str):
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from exc
+
+
 def _axis_from_descriptor(descriptor: dict, key: str, observed: list[str], path: Path) -> list[str]:
     declared = descriptor.get(key)
     if declared is None:
@@ -304,10 +318,11 @@ def save_prepared(series: MoSTSeries, out_dir: str | Path) -> None:
 
 def load_prepared(path: str | Path) -> MoSTSeries:
     root = Path(path)
-    meta_path = root / "meta.json"
-    if not meta_path.exists():
-        raise DataError(f"{root} is not a prepared dataset directory (missing meta.json)")
-    meta = json.loads(meta_path.read_text())
+    names = ("meta.json", "values.mostt")
+    missing = ", ".join(name for name in names if not (root / name).is_file())
+    if missing:
+        raise DataError(f"{root} is not a prepared dataset directory (missing {missing})")
+    meta = json.loads((root / "meta.json").read_text())
     values = load_tensor(root / "values.mostt")
     return MoSTSeries(values, meta["time_labels"], meta["node_ids"], meta["modality_names"])
 

@@ -94,18 +94,16 @@ def spatial_attention(h: Tensor, attn: AttentionParams) -> Tensor:
     return axis_attention(h, attn, axis=-3)
 
 
-def temporal_conv_layer(
-    h_cat: Tensor, conv: ConvParams, dilation: int | None = None, *, taps=None
-) -> Tensor:
+def temporal_conv_layer(h_cat: Tensor, conv: ConvParams, taps) -> Tensor:
     """Gated causal convolution along time of [..., T, N, M, 3C] -> [..., T', N, M, C].
 
-    ``taps`` picks the output steps from the input steps, or ``dilation``
-    computes them all; see ``dilated_causal_conv``.  Filter and gate run as
-    one convolution with their kernels side by side.
+    ``taps`` picks the output steps from the input steps; see
+    ``dilated_causal_conv``.  Filter and gate run as one convolution with
+    their kernels side by side.
     """
     kernel = concat([conv.filter_kernel, conv.gate_kernel], axis=-1)
     bias = concat([conv.filter_bias, conv.gate_bias], axis=0)
-    pre = dilated_causal_conv(h_cat, kernel, dilation, taps=taps, axis=-4) + bias
+    pre = dilated_causal_conv(h_cat, kernel, taps, axis=-4) + bias
     return linear(gated_tanh(pre), conv.mix_weight, conv.mix_bias)
 
 
@@ -129,7 +127,7 @@ def encode(x: Tensor, proj: ProjectionParams, layers: list[LayerParams], cfg: Mo
         ma = modality_attention(h, layer.modality_attn)
         sa = spatial_attention(h, layer.spatial_attn)
         stacked = concat([h, ma, sa], axis=-1)
-        out = temporal_conv_layer(stacked, layer.conv, taps=taps)
+        out = temporal_conv_layer(stacked, layer.conv, taps)
         if cfg.residual:
             # the last tap reads each output step's own time step
             out = out + h[_time_index(taps[-1])]

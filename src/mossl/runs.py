@@ -20,6 +20,7 @@ from .data import (
     MoSTSeries,
     PreparedData,
     load_csv,
+    load_descriptor,
     load_prepared,
     prepare_windows,
     synth_generate,
@@ -60,9 +61,7 @@ def series_from_config(cfg: RunConfig) -> MoSTSeries:
         seed = cfg.seed if data.synthetic_seed is None else data.synthetic_seed
         series = synth_generate(data.synthetic, seed)
     elif data.kind == "csv":
-        descriptor = None
-        if data.descriptor:
-            descriptor = json.loads(Path(data.descriptor).read_text())
+        descriptor = load_descriptor(data.descriptor) if data.descriptor else None
         series = load_csv(data.path, descriptor)
     else:
         series = load_prepared(data.path)
@@ -146,12 +145,14 @@ def load_run_params(cfg: RunConfig, checkpoint_path: str | Path, prepared: Prepa
     """Restore parameters for evaluation, cross-checking config and data."""
     manifest, arrays = load_checkpoint(checkpoint_path)
     flags = AblationFlags(**manifest.get("ablation", {}))
-    dims_doc = manifest["dims"]
-    dims = ModelDims(**dims_doc)
+    try:
+        dims = ModelDims(**manifest["dims"])
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"checkpoint {checkpoint_path}: manifest has no valid dims") from exc
     expected = model_dims(prepared)
     if dims != expected:
         raise CheckpointError(
-            f"checkpoint dimensions {dims_doc} do not match the configured dataset "
+            f"checkpoint dimensions {manifest['dims']} do not match the configured dataset "
             f"{dataclasses.asdict(expected)}"
         )
     stats = stats_from_manifest(manifest)

@@ -599,14 +599,7 @@ def _as_slice(index: np.ndarray):
     return index
 
 
-def dilated_causal_conv(
-    x: Tensor,
-    kernel: Tensor,
-    dilation: int | None = None,
-    *,
-    taps: Sequence | None = None,
-    axis: int = -2,
-) -> Tensor:
+def dilated_causal_conv(x: Tensor, kernel: Tensor, taps: Sequence, axis: int = -2) -> Tensor:
     """Causal convolution along the time axis of ``x``, computing only the requested output steps.
 
     ``x`` is [..., T, *cells, C_in] with time at ``axis`` and channels last,
@@ -614,11 +607,6 @@ def dilated_causal_conv(
     tap, all of length T'; output step i is the sum over taps j of input step
     ``taps[j][i]`` times ``kernel[j]``, so the output is [..., T', *cells, C_out].
     Indices within one tap must be unique.
-
-    ``dilation`` is the case where every output step is computed: the output
-    has T - (k-1)*dilation steps where output step t aggregates input steps
-    t, t+dilation, ..., t+(k-1)*dilation (the window ending at the aligned
-    time step).  Pass exactly one of ``dilation`` and ``taps``.
     """
     if kernel.ndim != 3:
         raise ShapeError(f"conv kernel must be [k, C_in, C_out], got {kernel.shape}")
@@ -628,30 +616,13 @@ def dilated_causal_conv(
     if axis == x.ndim - 1:
         raise ShapeError(f"conv time axis must not be the channel axis of {x.shape}")
     k, c_in, c_out = kernel.shape
-    if (dilation is None) == (taps is None):
-        raise ConfigError("dilated_causal_conv needs exactly one of dilation and taps")
-    if taps is None:
-        if dilation < 1:
-            raise ConfigError(f"dilation must be positive, got {dilation}")
-        t_in = x.shape[axis]
-        t_out = t_in - (k - 1) * dilation
-        if t_out < 1:
-            raise ConfigError(
-                f"temporal window too short: {t_in} steps cannot support kernel {k} "
-                f"with dilation {dilation}"
-            )
-        taps = [slice(j * dilation, j * dilation + t_out) for j in range(k)]
-    else:
-        taps = [np.asarray(tap) for tap in taps]
-        if len(taps) != k:
-            raise ShapeError(
-                f"conv needs one tap per kernel tap: {len(taps)} for kernel {kernel.shape}"
-            )
-        if len({len(tap) for tap in taps}) != 1 or len(taps[0]) == 0:
-            lengths = [len(tap) for tap in taps]
-            raise ShapeError(f"conv taps must be non-empty and equally long, got lengths {lengths}")
-        t_out = len(taps[0])
-        taps = [_as_slice(tap) for tap in taps]
+    if len(taps) != k:
+        raise ShapeError(f"conv needs one tap per kernel tap: {len(taps)} for {kernel.shape}")
+    lengths = [len(tap) for tap in taps]
+    if len(set(lengths)) != 1 or lengths[0] == 0:
+        raise ShapeError(f"conv taps must be non-empty and equally long, got lengths {lengths}")
+    t_out = lengths[0]
+    taps = [_as_slice(np.asarray(tap)) for tap in taps]
     lead, cells = x.shape[:axis], x.shape[axis + 1 : -1]
     steps = [(slice(None),) * axis + (tap,) for tap in taps]
 
@@ -751,18 +722,11 @@ def shard_mean(
     def backward_fn(g):
         seed = g / count
         run_shards(lambda b: backward(shard_losses[b], seed), count)
-        for name, master in masters.items():
-            summed = None
-            for leaves in shard_leaves:
-                leaf = leaves[name]
+        for leaves in shard_leaves:
+            for name, leaf in leaves.items():
                 if leaf.grad is not None:
-                    if summed is None:
-                        summed = leaf.grad
-                    else:
-                        summed += leaf.grad
+                    masters[name]._accumulate(leaf.grad)
                     leaf.grad = None
-            if summed is not None:
-                master._accumulate(summed)
 
     return _make(np.asarray(value, dtype=np.float64), tuple(masters.values()), backward_fn)
 

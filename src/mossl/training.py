@@ -352,18 +352,36 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read back (manifest, named arrays); strict about magic and version."""
-    with open(path, "rb") as fh:
+    """Read back (manifest, named arrays); strict about magic and version.
+
+    A file that is missing, cut short or malformed raises ``CheckpointError``.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
+    with fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"not a checkpoint file: bad magic {magic!r}")
-        (length,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(length).decode())
+        raw = fh.read(4)
+        if len(raw) != 4:
+            raise CheckpointError(f"checkpoint {path} is truncated before its manifest")
+        (length,) = struct.unpack("<I", raw)
+        try:
+            manifest = json.loads(fh.read(length).decode())
+        except ValueError as exc:  # a cut or corrupt manifest: bad UTF-8 or JSON
+            raise CheckpointError(f"checkpoint {path}: manifest is not valid JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise CheckpointError(f"checkpoint {path}: manifest is not a JSON object")
         if manifest.get("format_version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"checkpoint format version {manifest.get('format_version')} "
                 f"is not supported (expected {CHECKPOINT_VERSION})"
             )
+        missing = [key for key in ("tensors", "norm_mean", "norm_std") if key not in manifest]
+        if missing:
+            raise CheckpointError(f"checkpoint {path}: manifest lacks {missing}")
         arrays = {}
         for entry in manifest["tensors"]:
             arr = read_tensor(fh)

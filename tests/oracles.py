@@ -53,6 +53,12 @@ def conv_loop(x: np.ndarray, kernel: np.ndarray, dilation: int) -> np.ndarray:
     return out
 
 
+def dense_taps(t_in: int, k: int, dilation: int) -> list[np.ndarray]:
+    """Conv taps computing every output step: tap j of output step t reads t + j*dilation."""
+    t_out = t_in - (k - 1) * dilation
+    return [np.arange(j * dilation, j * dilation + t_out) for j in range(k)]
+
+
 def projection_loop(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(h @ w + b, 0.0)
 
@@ -113,7 +119,7 @@ def contrastive_loop(r: np.ndarray, context: np.ndarray, w3: np.ndarray) -> floa
 
 
 def encode_every_step(x, proj, layers, cfg):
-    """The encoder computing every time step of every layer, with the ``dilation=`` conv.
+    """The encoder computing every time step of every layer, with dense conv taps.
 
     Same blocks as ``encoder.encode``; the residual adds the last steps of
     each layer's input.  Drop-in replacement for ``encoder.encode``.
@@ -122,7 +128,8 @@ def encode_every_step(x, proj, layers, cfg):
     for layer, dilation in zip(layers, cfg.dilations, strict=True):
         ma = enc.modality_attention(h, layer.modality_attn)
         sa = enc.spatial_attention(h, layer.spatial_attn)
-        out = enc.temporal_conv_layer(concat([h, ma, sa], axis=-1), layer.conv, dilation)
+        taps = dense_taps(h.shape[-4], cfg.kernel_size, dilation)
+        out = enc.temporal_conv_layer(concat([h, ma, sa], axis=-1), layer.conv, taps)
         if cfg.residual:
             out = out + h[..., h.shape[-4] - out.shape[-4]:, :, :, :]
         h = out

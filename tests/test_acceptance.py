@@ -31,7 +31,7 @@ from mossl.rng import derive_rng
 from mossl.runs import run_ablation, run_gradcheck, run_training, load_run_params
 from mossl.tensor import Tensor, dilated_causal_conv
 from mossl.training import TrainConfig, evaluate, persistence_metrics, train
-from oracles import attention_loop, conv_loop, contrastive_loop, gmm_nll_prob_domain
+from oracles import attention_loop, conv_loop, contrastive_loop, dense_taps, gmm_nll_prob_domain
 
 TINY_CONFIG_TEXT = json.dumps(
     {
@@ -136,7 +136,7 @@ def test_criterion_3_oracle_equivalence():
 
         x = b.standard_normal((2, 7, 3))
         kernel = b.standard_normal((2, 3, 2))
-        got = dilated_causal_conv(Tensor(x), Tensor(kernel), dilation=2).data
+        got = dilated_causal_conv(Tensor(x), Tensor(kernel), dense_taps(7, 2, 2)).data
         worst["conv"] = max(worst["conv"], np.max(np.abs(got - conv_loop(x, kernel, 2))))
 
         cells = b.standard_normal((1, 1, 3, 2, 1))  # K=2, one channel

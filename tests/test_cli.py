@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from mossl import runs as runs_module
 from mossl.cli import main
+from mossl.config import load_config
 from mossl.container import load_tensor
 
 
@@ -101,6 +103,21 @@ class TestSynthAndPrepare:
         cfg3 = write_config(tmp_path, prep_cfg, "prep_config.json")
         runs = tmp_path / "runs"
         assert run(["train", "--config", cfg3, "--out", runs, "--quiet"]) == 0
+
+    def test_prepare_writes_the_synthetic_series(self, tmp_path):
+        cfg = write_config(tmp_path, tiny_config())
+        out = tmp_path / "prepared"
+        assert run(["prepare", "--config", cfg, "--out", out, "--quiet"]) == 0
+        want = runs_module.series_from_config(load_config(cfg)).values
+        assert np.array_equal(load_tensor(out / "values.mostt"), want)
+
+    def test_prepare_checks_the_expected_extents(self, tmp_path, capsys):
+        doc = tiny_config()
+        doc["data"]["expected_nodes"] = 4
+        cfg = write_config(tmp_path, doc)
+        assert run(["prepare", "--config", cfg, "--out", tmp_path / "prepared", "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: dataset has 3 nodes, config expects 4\n"
+        assert not (tmp_path / "prepared").exists()
 
 
 class TestTrainEval:
@@ -221,7 +238,92 @@ class TestAblate:
             assert active == ([] if expected == "full" else [expected])
 
 
+def _manifest_without(key):
+    """A checkpoint edit that drops one manifest key and keeps the tensors."""
+
+    def edit(blob):
+        (length,) = struct.unpack("<I", blob[8:12])
+        manifest = json.loads(blob[12 : 12 + length])
+        del manifest[key]
+        text = json.dumps(manifest).encode()
+        return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + length :]
+
+    return edit
+
+
+# name -> edit of the checkpoint bytes, or None for no file at all
+CHECKPOINT_DAMAGE = {
+    "cut-at-10-bytes": lambda blob: blob[:10],
+    "cut-at-40-bytes": lambda blob: blob[:40],
+    "manifest-without-norm_mean": _manifest_without("norm_mean"),
+    "manifest-without-dims": _manifest_without("dims"),
+    "missing-file": None,
+}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """The config file and checkpoint of one tiny training run."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = write_config(root, tiny_config())
+    assert run(["train", "--config", cfg, "--out", root / "runs", "--quiet"]) == 0
+    return cfg, single_run_dir(root / "runs") / "checkpoint.mossl"
+
+
+def data_case(tmp_path, case) -> tuple[dict, str]:
+    """A ``data`` section whose files are missing or malformed, and the path it must name."""
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text("time,node,modality,value\n0,a,x,1.0\n")
+    data = {"kind": "csv", "path": str(csv_path), "input_steps": 4, "output_steps": 1}
+    if case == "missing-csv":
+        data["path"] = str(tmp_path / "nope.csv")
+    elif case == "missing-descriptor":
+        data["descriptor"] = str(tmp_path / "nope.json")
+    elif case == "invalid-descriptor":
+        data["descriptor"] = str(tmp_path / "descriptor.json")
+        (tmp_path / "descriptor.json").write_text("{nodes: 3")
+    else:  # a prepared directory without values.mostt
+        (tmp_path / "prepared").mkdir()
+        (tmp_path / "prepared" / "meta.json").write_text("{}")
+        data.update(kind="prepared", path=str(tmp_path / "prepared"))
+    return data, data.get("descriptor", data["path"])
+
+
 class TestErrors:
+    @pytest.mark.parametrize("case", list(CHECKPOINT_DAMAGE))
+    def test_unreadable_checkpoint_is_checkpoint_error(self, tmp_path, capsys, trained, case):
+        cfg, checkpoint = trained
+        damaged = tmp_path / "checkpoint.mossl"
+        if CHECKPOINT_DAMAGE[case] is not None:
+            damaged.write_bytes(CHECKPOINT_DAMAGE[case](checkpoint.read_bytes()))
+        assert run(["eval", "--config", cfg, "--checkpoint", damaged, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(damaged) in err
+
+    @pytest.mark.parametrize("command", ["train", "prepare"])
+    @pytest.mark.parametrize(
+        "case", ["missing-csv", "missing-descriptor", "invalid-descriptor", "prepared-without-values"]
+    )
+    def test_unreadable_data_file_is_data_error(self, tmp_path, capsys, command, case):
+        doc = tiny_config()
+        doc["data"], named = data_case(tmp_path, case)
+        cfg = write_config(tmp_path, doc)
+        assert run([command, "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err
+
+    def test_non_finite_csv_value_is_data_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "nan.csv"
+        csv_path.write_text("time,node,modality,value\n0,a,x,1.0\n1,a,x,nan\n")
+        doc = tiny_config()
+        doc["data"] = {"kind": "csv", "path": str(csv_path), "input_steps": 4, "output_steps": 1}
+        cfg = write_config(tmp_path, doc)
+        assert run(["train", "--config", cfg, "--out", tmp_path / "r", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: non-finite value nan at time '1', node 'a', modality 'x'\n"
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tiny_config()
         cfg["model"]["hideen"] = 12

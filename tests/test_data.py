@@ -10,6 +10,7 @@ from mossl.data import (
     SplitSpec,
     SynthSpec,
     load_csv,
+    load_descriptor,
     load_prepared,
     make_windows,
     prepare_windows,
@@ -56,6 +57,14 @@ class TestSeriesInvariants:
     def test_bad_timestamp(self):
         with pytest.raises(DataError, match="unparseable"):
             MoSTSeries(np.zeros((2, 1, 1)), ["yesterday", "today"], ["a"], ["x"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_cell(self, bad):
+        values = np.zeros((3, 2, 2))
+        values[1, 1, 0] = bad
+        values[2, 0, 1] = np.nan
+        with pytest.raises(DataError, match=r"non-finite value .* time '1', node 'b', modality 'x'"):
+            MoSTSeries(values, ["0", "1", "2"], ["a", "b"], ["x", "y"])
 
 
 class TestCsv:
@@ -108,6 +117,13 @@ class TestCsv:
         with pytest.raises(DataError, match="unparseable value"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", ["{nodes: 3", "[3, 2]"])
+    def test_malformed_descriptor_is_data_error(self, tmp_path, text):
+        path = tmp_path / "descriptor.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match=r"descriptor .*descriptor.json (is not valid JSON|must hold)"):
+            load_descriptor(path)
+
     def test_descriptor_count_validation(self, tmp_path):
         path = tmp_path / "d.csv"
         save_csv(toy_series(steps=3, nodes=2, modalities=2), path)
@@ -128,6 +144,13 @@ class TestCsv:
         back = load_prepared(tmp_path / "prep")
         assert np.array_equal(back.values, series.values)
         assert back.time_labels == series.time_labels
+
+    @pytest.mark.parametrize("name", ["meta.json", "values.mostt"])
+    def test_prepared_directory_missing_a_file_is_data_error(self, tmp_path, name):
+        save_prepared(toy_series(steps=5), tmp_path / "prep")
+        (tmp_path / "prep" / name).unlink()
+        with pytest.raises(DataError, match=f"prep is not a prepared dataset directory .missing {name}"):
+            load_prepared(tmp_path / "prep")
 
 
 class TestZScore:
@@ -201,8 +224,11 @@ class TestWindows:
             assert windows.y[i].shape[0] == 2
 
     def test_too_short(self):
-        with pytest.raises(DataError, match="too short"):
-            make_windows(np.zeros((5, 1, 1)), 16, 3)
+        windows = make_windows(np.zeros((5, 2, 3)), 16, 3)
+        assert windows.count == 0
+        assert windows.x.shape == (0, 16, 2, 3)
+        assert windows.y.shape == (0, 3, 2, 3)
+        assert windows.anchors.shape == (0,) and windows.anchors.dtype == np.int64
 
 
 class TestSplits:

@@ -22,6 +22,7 @@ from mossl.tensor import Tensor, gradients
 from oracles import (
     attention_loop,
     conv_loop,
+    dense_taps,
     encode_every_step,
     encode_unfused,
     projection_loop,
@@ -151,7 +152,7 @@ class TestTemporalConv:
         conv = make_conv(7, 2, hidden)
         conv.gate_bias.data[...] = 60.0  # sigmoid -> 1 regardless of input
         h = rng(12).standard_normal((1, 5, 2, 2, 3 * hidden))
-        out = enc.temporal_conv_layer(Tensor(h), conv, dilation=1)
+        out = enc.temporal_conv_layer(Tensor(h), conv, dense_taps(5, 2, 1))
         moved = np.swapaxes(h, -4, -2)
         filt = conv_loop(moved, conv.filter_kernel.data, 1) + conv.filter_bias.data
         expected = np.tanh(filt) @ conv.mix_weight.data + conv.mix_bias.data
@@ -164,14 +165,14 @@ class TestTemporalConv:
         conv.filter_bias.data[...] = 0.0
         conv.mix_bias.data[...] = 0.0
         h = rng(13).standard_normal((4, 2, 2, 3 * hidden))
-        out = enc.temporal_conv_layer(Tensor(h), conv, dilation=1)
+        out = enc.temporal_conv_layer(Tensor(h), conv, dense_taps(4, 2, 1))
         assert np.allclose(out.data, 0.0, atol=1e-15)
 
     def test_matches_loop_oracle(self):
         hidden = 2
         conv = make_conv(9, 2, hidden)
         h = rng(14).standard_normal((6, 2, 2, 3 * hidden))
-        out = enc.temporal_conv_layer(Tensor(h), conv, dilation=2)
+        out = enc.temporal_conv_layer(Tensor(h), conv, dense_taps(6, 2, 2))
         moved = np.swapaxes(h, -4, -2)
         filt = conv_loop(moved, conv.filter_kernel.data, 2) + conv.filter_bias.data
         gate = conv_loop(moved, conv.gate_kernel.data, 2) + conv.gate_bias.data

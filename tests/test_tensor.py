@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mossl import tensor as T
 from mossl.errors import ConfigError, DomainError, ShapeError
-from oracles import conv_loop, fd_gradient
+from oracles import conv_loop, dense_taps, fd_gradient
 
 
 def rng(seed=0):
@@ -125,7 +125,7 @@ class TestElementwise:
 class TestDilatedCausalConv:
     def test_kernel_one_identity(self):
         x = rng(7).standard_normal((5, 3))
-        out = T.dilated_causal_conv(T.Tensor(x), T.Tensor(np.eye(3)[None]), dilation=1)
+        out = T.dilated_causal_conv(T.Tensor(x), T.Tensor(np.eye(3)[None]), dense_taps(5, 1, 1))
         assert np.allclose(out.data, x, atol=1e-15)
 
     def test_selector_kernel_shifts(self):
@@ -133,22 +133,22 @@ class TestDilatedCausalConv:
         # with the first step dropped
         x = rng(8).standard_normal((6, 2))
         kernel = np.stack([np.zeros((2, 2)), np.eye(2)])
-        out = T.dilated_causal_conv(T.Tensor(x), T.Tensor(kernel), dilation=1)
+        out = T.dilated_causal_conv(T.Tensor(x), T.Tensor(kernel), dense_taps(6, 2, 1))
         assert np.allclose(out.data, x[1:], atol=1e-15)
 
     def test_matches_loop_oracle(self):
         x = rng(9).standard_normal((2, 7, 3))
         kernel = rng(10).standard_normal((2, 3, 4))
-        out = T.dilated_causal_conv(T.Tensor(x), T.Tensor(kernel), dilation=2)
+        out = T.dilated_causal_conv(T.Tensor(x), T.Tensor(kernel), dense_taps(7, 2, 2))
         assert np.allclose(out.data, conv_loop(x, kernel, 2), atol=1e-12)
 
     def test_causality(self):
         x = rng(11).standard_normal((8, 2))
         kernel = rng(12).standard_normal((2, 2, 2))
-        base = T.dilated_causal_conv(T.Tensor(x), T.Tensor(kernel), dilation=2).data
+        base = T.dilated_causal_conv(T.Tensor(x), T.Tensor(kernel), dense_taps(8, 2, 2)).data
         bumped = x.copy()
         bumped[-1] += 10.0
-        out = T.dilated_causal_conv(T.Tensor(bumped), T.Tensor(kernel), dilation=2).data
+        out = T.dilated_causal_conv(T.Tensor(bumped), T.Tensor(kernel), dense_taps(8, 2, 2)).data
         # only the final output step has the last input in its window
         assert np.array_equal(out[:-1], base[:-1])
         assert not np.allclose(out[-1], base[-1])
@@ -156,31 +156,18 @@ class TestDilatedCausalConv:
     def test_taps_select_output_steps_of_the_dilation_case(self):
         x = rng(13).standard_normal((2, 9, 3))
         kernel = rng(14).standard_normal((3, 3, 2))
-        dense = T.dilated_causal_conv(T.Tensor(x), T.Tensor(kernel), dilation=2).data
+        dense = T.dilated_causal_conv(T.Tensor(x), T.Tensor(kernel), dense_taps(9, 3, 2)).data
         rows = np.array([0, 3, 4])
         taps = tuple(rows + 2 * j for j in range(3))
-        out = T.dilated_causal_conv(T.Tensor(x), T.Tensor(kernel), taps=taps).data
+        out = T.dilated_causal_conv(T.Tensor(x), T.Tensor(kernel), taps).data
         assert np.array_equal(out, dense[:, rows])
-
-    def test_needs_exactly_one_of_dilation_and_taps(self):
-        x, kernel = T.Tensor(np.zeros((4, 1))), T.Tensor(np.zeros((2, 1, 1)))
-        with pytest.raises(ConfigError, match="exactly one"):
-            T.dilated_causal_conv(x, kernel)
-        with pytest.raises(ConfigError, match="exactly one"):
-            T.dilated_causal_conv(x, kernel, 1, taps=(np.arange(3), np.arange(1, 4)))
 
     def test_taps_must_match_the_kernel(self):
         x, kernel = T.Tensor(np.zeros((4, 1))), T.Tensor(np.zeros((2, 1, 1)))
         with pytest.raises(ShapeError, match="one tap per kernel tap"):
-            T.dilated_causal_conv(x, kernel, taps=(np.arange(3),))
+            T.dilated_causal_conv(x, kernel, (np.arange(3),))
         with pytest.raises(ShapeError, match="equally long"):
-            T.dilated_causal_conv(x, kernel, taps=(np.arange(3), np.arange(2)))
-
-    def test_time_exhaustion_is_config_error(self):
-        with pytest.raises(ConfigError):
-            T.dilated_causal_conv(
-                T.Tensor(np.zeros((3, 1))), T.Tensor(np.zeros((2, 1, 1))), dilation=4
-            )
+            T.dilated_causal_conv(x, kernel, (np.arange(3), np.arange(2)))
 
 
 # NaN, signed zeros, infinities and values whose exp over- or underflows
@@ -283,7 +270,7 @@ _OP_CASES = {
     ),
     "gated_tanh": lambda x: T.gated_tanh(x @ T.Tensor(rng(35).standard_normal((3, 4)))),
     "conv": lambda x: T.dilated_causal_conv(
-        x, T.Tensor(rng(28).standard_normal((2, x.shape[-1], 2))), dilation=1
+        x, T.Tensor(rng(28).standard_normal((2, x.shape[-1], 2))), dense_taps(x.shape[-2], 2, 1)
     ),
     # one strided tap and one unordered tap, both reading step 2
     "conv_taps": lambda x: T.dilated_causal_conv(
