@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import load_tensor, save_tensor
-from .errors import ConfigError, DataError
+from .errors import CheckpointError, ConfigError, DataError
 from .rng import derive_rng
 
 STD_FLOOR = 1e-8
@@ -266,14 +266,18 @@ def load_csv(path: str | Path, descriptor: dict | None = None) -> MoSTSeries:
 
 def load_descriptor(path: str | Path) -> dict:
     """The JSON object of a dataset descriptor: axis order and counts for ``load_csv``."""
-    with _open_input(Path(path), "descriptor") as fh:
+    return _load_json_object(Path(path), "descriptor")
+
+
+def _load_json_object(path: Path, what: str) -> dict:
+    with _open_input(path, what) as fh:
         try:
-            descriptor = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"descriptor {path} is not valid JSON: {exc}") from exc
-    if not isinstance(descriptor, dict):
-        raise DataError(f"descriptor {path} must hold a JSON object")
-    return descriptor
+            loaded = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DataError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise DataError(f"{what} {path} must hold a JSON object")
+    return loaded
 
 
 def _open_input(path: Path, what: str):
@@ -322,9 +326,16 @@ def load_prepared(path: str | Path) -> MoSTSeries:
     missing = ", ".join(name for name in names if not (root / name).is_file())
     if missing:
         raise DataError(f"{root} is not a prepared dataset directory (missing {missing})")
-    meta = json.loads((root / "meta.json").read_text())
-    values = load_tensor(root / "values.mostt")
-    return MoSTSeries(values, meta["time_labels"], meta["node_ids"], meta["modality_names"])
+    meta = _load_json_object(root / "meta.json", "prepared metadata")
+    keys = ("time_labels", "node_ids", "modality_names")
+    lacking = [key for key in keys if key not in meta]
+    if lacking:
+        raise DataError(f"prepared metadata {root / 'meta.json'} lacks {lacking}")
+    try:
+        values = load_tensor(root / "values.mostt")
+    except CheckpointError as exc:  # the container's error for any file it reads
+        raise DataError(f"prepared values {root / 'values.mostt'}: {exc}") from exc
+    return MoSTSeries(values, *(meta[key] for key in keys))
 
 
 def save_csv(series: MoSTSeries, path: str | Path) -> None:

@@ -5,13 +5,16 @@ Representations are laid out [..., time, node, modality, channel].  Each
 layer attends over the modality and node axes of its input, concatenates
 the three views on the channel axis, and pushes them through a gated
 temporal convolution along time.  Each layer computes only the time steps
-that reach the encoder's output.
+that reach the encoder's output.  ``encode_stream`` runs the same layers over
+consecutive windows, computing each time step once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import ConfigError
 from .tensor import Tensor, attention, concat, dilated_causal_conv, gated_tanh, linear
@@ -112,6 +115,13 @@ def _time_index(steps) -> tuple:
     return (Ellipsis, steps, slice(None), slice(None), slice(None))
 
 
+def _conv_input(h: Tensor, layer: LayerParams) -> Tensor:
+    """A layer's three views side by side on the channel axis: [h, ma, sa]."""
+    ma = modality_attention(h, layer.modality_attn)
+    sa = spatial_attention(h, layer.spatial_attn)
+    return concat([h, ma, sa], axis=-1)
+
+
 def encode(x: Tensor, proj: ProjectionParams, layers: list[LayerParams], cfg: ModelConfig) -> Tensor:
     """Full encoder pass: [..., T, N, M, C_in] -> [..., T - receptive_field + 1, N, M, hidden].
 
@@ -124,12 +134,83 @@ def encode(x: Tensor, proj: ProjectionParams, layers: list[LayerParams], cfg: Mo
         x = x[_time_index(plan.steps[0])]
     h = input_project(x, proj)
     for layer, taps in zip(layers, plan.taps, strict=True):
-        ma = modality_attention(h, layer.modality_attn)
-        sa = spatial_attention(h, layer.spatial_attn)
-        stacked = concat([h, ma, sa], axis=-1)
-        out = temporal_conv_layer(stacked, layer.conv, taps)
+        out = temporal_conv_layer(_conv_input(h, layer), layer.conv, taps)
         if cfg.residual:
             # the last tap reads each output step's own time step
             out = out + h[_time_index(taps[-1])]
+        h = out
+    return h
+
+
+@dataclass
+class EncoderStream:
+    """Carried state of ``encode_stream`` over the windows of one series.
+
+    ``last`` is the last window encoded.  ``queues[l]`` holds, as plain data,
+    layer l's conv input ``concat([h, ma, sa])`` at its last (k-1)*d_l steps,
+    or None before the layer has seen any.
+    A stream belongs to one set of parameter values: make a new one when they
+    change.
+    """
+
+    last: np.ndarray | None = None
+    queues: list[np.ndarray | None] = field(default_factory=list)
+
+    def continues(self, window: np.ndarray) -> bool:
+        """True when ``window`` is the last window moved on by one step."""
+        return self.last is not None and np.array_equal(window[:-1], self.last[1:])
+
+
+def encode_stream(
+    windows: np.ndarray,
+    proj: ProjectionParams,
+    layers: list[LayerParams],
+    cfg: ModelConfig,
+    stream: EncoderStream,
+) -> Tensor:
+    """``encode`` of consecutive windows [B, T, N, M, C_in] -> [B, 1, N, M, hidden].
+
+    Nothing in the encoder depends on a step's position in its window, so
+    for inputs without position terms, such as the original view's values, a
+    step's activations are the same in every window that holds it.  A batch
+    whose first window continues ``stream`` encodes only its windows' last
+    steps, one new step per window; any other batch restarts the stream with
+    its first window's T steps.  Each pass encodes at most T new steps.
+    """
+    steps = windows.shape[1]
+    cfg.check_input_steps(steps, "streamed window steps")
+    if stream.continues(windows[0]):
+        series = windows[:, -1]
+    else:
+        stream.queues = [None] * len(layers)
+        series = np.concatenate([windows[0], windows[1:, -1]])
+    stream.last = None  # a pass that raises leaves the stream to restart
+    passes = [
+        _stream_pass(series[s : s + steps], proj, layers, cfg, stream.queues)
+        for s in range(0, len(series), steps)
+    ]
+    stream.last = windows[-1].copy()
+    h = concat(passes, axis=-4)
+    return h.reshape(len(windows), 1, *h.shape[1:])
+
+
+def _stream_pass(x: np.ndarray, proj: ProjectionParams, layers: list[LayerParams], cfg: ModelConfig, queues):
+    """The next steps [S, N, M, C_in] of a stream through every layer, updating ``queues``.
+
+    A layer without a queue (a restart) computes every step its taps reach,
+    as a valid dilated convolution does; a layer with one prepends it and
+    computes the S new steps.
+    """
+    h = input_project(Tensor(x), proj)
+    for i, (layer, dilation) in enumerate(zip(layers, cfg.dilations, strict=True)):
+        stacked = _conv_input(h, layer)
+        if queues[i] is not None:
+            stacked = concat([Tensor(queues[i]), stacked], axis=-4)
+        kept = stacked.shape[-4] - (cfg.kernel_size - 1) * dilation
+        taps = [np.arange(j * dilation, j * dilation + kept) for j in range(cfg.kernel_size)]
+        out = temporal_conv_layer(stacked, layer.conv, taps)
+        queues[i] = stacked.data[kept:].copy()
+        if cfg.residual:
+            out = out + h[_time_index(slice(h.shape[-4] - kept, None))]
         h = out
     return h

@@ -320,6 +320,7 @@ def forward_pass(
     mask_uniforms: np.ndarray | None = None,
     mask_override: np.ndarray | None = None,
     training: bool = True,
+    stream: enc.EncoderStream | None = None,
 ) -> ForwardResult:
     """One pass over a batch: original view, optional companion view, all losses.
 
@@ -332,9 +333,16 @@ def forward_pass(
     one shard per window in parallel (``_forward_sharded``); its ``total`` and
     ``parts`` carry gradients, its other tensors are data only.  Smaller
     windows run as one batch.
+
+    With a ``stream``, an evaluation batch (``training=False``) whose windows
+    are consecutive, each one step on from the last, runs the original view
+    through ``encoder.encode_stream`` instead, encoding each time step once
+    across the batches that share the stream.  Any other batch ignores it.
     """
     x = np.asarray(x, dtype=np.float64)
     args = (params, model_cfg, flags, weights, x, y, mask_uniforms, mask_override, training)
+    if stream is not None and not training and np.array_equal(x[1:, :-1], x[:-1, 1:]):
+        return _forward_batch(*args, stream=stream)
     if len(x) > 1 and x[0].nbytes * model_cfg.hidden >= SHARD_BYTES:
         return _forward_sharded(*args)
     return _forward_batch(*args)
@@ -350,11 +358,17 @@ def _forward_batch(
     mask_uniforms: np.ndarray | None,
     mask_override: np.ndarray | None,
     training: bool,
+    stream: enc.EncoderStream | None = None,
 ) -> ForwardResult:
     """``forward_pass`` as one batch: every op spans all windows."""
     x_t = Tensor(x)
     x_in = reshape(x_t, x_t.shape + (1,))
-    h = enc.encode(x_in, params.encoder.input_proj, params.encoder.layers, model_cfg)
+    if stream is None:
+        h = enc.encode(x_in, params.encoder.input_proj, params.encoder.layers, model_cfg)
+    else:
+        h = enc.encode_stream(
+            x_in.data, params.encoder.input_proj, params.encoder.layers, model_cfg, stream
+        )
     result = ForwardResult(predictions=predict(h, params.predictor), h=h)
 
     parts: dict[str, Tensor] = {}

@@ -14,6 +14,7 @@ import numpy as np
 
 from .container import read_tensor, write_tensor
 from .data import NormStats, PreparedData
+from .encoder import EncoderStream
 from .errors import CheckpointError, ConfigError, DataError, require_at_least_one
 from .model import (
     AblationFlags,
@@ -161,18 +162,27 @@ def split_predictions(
 ) -> np.ndarray:
     """Original-view predictions for a split, denormalized, [W, O, N, M].
 
-    Nothing runs backward here, so the passes record no tape.
+    One ``forward_pass`` per batch of ``batch_size`` windows.  When the
+    split's windows are consecutive (stride 1), all batches share one
+    ``EncoderStream``, so each time step is encoded once per layer across the
+    whole split rather than once per window that holds it; the predictions
+    are those of the batches encoded whole.  Nothing runs backward here, so
+    the passes record no tape.
     """
     ws = prepared.splits[split]
     if ws.count == 0:
         raise DataError(f"split '{split}' has no windows")
     flags = AblationFlags()
     weights = LossWeights()
+    # a stream pays off only over windows that continue one another (stride 1)
+    stream = EncoderStream() if np.array_equal(ws.x[1:2, :-1], ws.x[:1, 1:]) else None
     chunks = []
     for start in range(0, ws.count, batch_size):
         x = ws.x[start : start + batch_size]
         with no_grad():
-            res = forward_pass(params, model_cfg, flags, weights, x, y=None, training=False)
+            res = forward_pass(
+                params, model_cfg, flags, weights, x, y=None, training=False, stream=stream
+            )
         chunks.append(res.predictions.data)
     return prepared.stats.invert(np.concatenate(chunks, axis=0))
 

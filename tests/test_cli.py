@@ -12,6 +12,7 @@ from mossl import runs as runs_module
 from mossl.cli import main
 from mossl.config import load_config
 from mossl.container import load_tensor
+from mossl.data import load_csv, save_prepared
 
 
 def tiny_config(**overrides) -> dict:
@@ -282,10 +283,17 @@ def data_case(tmp_path, case) -> tuple[dict, str]:
     elif case == "invalid-descriptor":
         data["descriptor"] = str(tmp_path / "descriptor.json")
         (tmp_path / "descriptor.json").write_text("{nodes: 3")
-    else:  # a prepared directory without values.mostt
+    elif case == "prepared-without-values":
         (tmp_path / "prepared").mkdir()
         (tmp_path / "prepared" / "meta.json").write_text("{}")
         data.update(kind="prepared", path=str(tmp_path / "prepared"))
+    else:  # a prepared directory with its meta.json or values.mostt cut short
+        prepared = tmp_path / "prepared"
+        save_prepared(load_csv(csv_path), prepared)
+        damaged = prepared / ("meta.json" if case == "prepared-cut-meta" else "values.mostt")
+        damaged.write_bytes(damaged.read_bytes()[:6])
+        data.update(kind="prepared", path=str(prepared))
+        return data, str(damaged)
     return data, data.get("descriptor", data["path"])
 
 
@@ -303,7 +311,15 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["train", "prepare"])
     @pytest.mark.parametrize(
-        "case", ["missing-csv", "missing-descriptor", "invalid-descriptor", "prepared-without-values"]
+        "case",
+        [
+            "missing-csv",
+            "missing-descriptor",
+            "invalid-descriptor",
+            "prepared-without-values",
+            "prepared-cut-meta",
+            "prepared-cut-values",
+        ],
     )
     def test_unreadable_data_file_is_data_error(self, tmp_path, capsys, command, case):
         doc = tiny_config()

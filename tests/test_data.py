@@ -152,6 +152,28 @@ class TestCsv:
         with pytest.raises(DataError, match=f"prep is not a prepared dataset directory .missing {name}"):
             load_prepared(tmp_path / "prep")
 
+    @pytest.mark.parametrize(
+        "name,damage,message",
+        [
+            ("meta.json", lambda raw: raw[:15], "is not valid JSON"),
+            ("meta.json", lambda raw: b"\xff\xfe", "is not valid JSON"),
+            ("meta.json", lambda raw: b"[]", "must hold a JSON object"),
+            ("meta.json", lambda raw: b'{"time_labels": []}', r"lacks \['node_ids', 'modality_names'\]"),
+            ("values.mostt", lambda raw: raw[:6], "truncated tensor container header"),
+            ("values.mostt", lambda raw: raw[:-8], "truncated tensor payload"),
+            ("values.mostt", lambda raw: b"NOPE" + raw[4:], "bad magic"),
+        ],
+        ids=["meta-cut", "meta-not-utf8", "meta-not-object", "meta-lacks-keys",
+             "values-cut-header", "values-cut-payload", "values-bad-magic"],
+    )
+    def test_damaged_prepared_file_is_data_error_naming_it(self, tmp_path, name, damage, message):
+        save_prepared(toy_series(steps=5), tmp_path / "prep")
+        path = tmp_path / "prep" / name
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataError, match=message) as info:
+            load_prepared(tmp_path / "prep")
+        assert str(path) in str(info.value)
+
 
 class TestZScore:
     def test_two_point_example(self):
