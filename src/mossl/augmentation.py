@@ -3,7 +3,9 @@
 The encoder's own output scores how relevant each modality is per cell;
 cells with low relevance are masked (zeroed in normalized space) with high
 probability, and the masked grid is stacked with a learned
-time/node/modality embedding to form the augmented input.
+time/node/modality embedding to form the augmented input.  The mask is
+computed in one place, ``mask_from_uniforms``, from U(0,1) draws made before
+the pass; the keep factor and every caller read that mask.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from .tensor import Tensor, broadcast_to, clip, concat, reshape, softmax
 __all__ = [
     "EmbeddingParams",
     "modality_relevance",
-    "mask_probability",
     "input_mask_probability",
-    "sample_mask",
+    "mask_from_uniforms",
     "keep_factor",
     "build_augmented_input",
 ]
@@ -45,36 +46,34 @@ def modality_relevance(h_detached: Tensor, relevance_weight: Tensor) -> Tensor:
     return softmax(v, axis=-1)
 
 
-def mask_probability(phi: Tensor, scale: float = 1.0) -> Tensor:
-    """Masking probability of a cell with keep relevance phi: 1 - phi, scaled and clamped."""
-    return clip((1.0 - phi) * scale, 0.0, 1.0)
-
-
 def input_mask_probability(phi: Tensor, input_steps: int, scale: float = 1.0) -> Tensor:
-    """Masking probability of the encoder's one output step [..., 1, N, M], broadcast over time."""
-    prob = mask_probability(phi, scale)
+    """Masking probability of the encoder's one output step [..., 1, N, M], broadcast over time.
+
+    A cell with keep relevance phi is masked with probability 1 - phi, scaled
+    and clamped to [0, 1].
+    """
+    prob = clip((1.0 - phi) * scale, 0.0, 1.0)
     target = prob.shape[:-3] + (input_steps,) + prob.shape[-2:]
     return broadcast_to(prob, target)
 
 
-def sample_mask(phi: np.ndarray, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Independent Bernoulli(mask_probability) draw per cell; True means masked."""
-    return rng.random(phi.shape) < mask_probability(Tensor(phi), scale).data
+def mask_from_uniforms(mask_prob: Tensor, uniforms: np.ndarray) -> np.ndarray:
+    """The Bernoulli(mask_prob) draw per cell, from pre-drawn U(0,1) ``uniforms``.
 
-
-def keep_factor(
-    mask_prob: Tensor,
-    uniforms: np.ndarray,
-    straight_through: bool = False,
-) -> Tensor:
-    """Multiplicative keep factor for the raw input channel.
-
-    ``uniforms`` are pre-drawn U(0,1) values on the input grid; a cell is
-    masked when its uniform falls below the masking probability.  The hard
-    draw is a constant by default; the straight-through variant routes the
-    gradient of the keep probability through it.
+    A cell is masked (True) when its uniform falls below its masking
+    probability.
     """
-    hard = (uniforms >= mask_prob.data).astype(np.float64)
+    return uniforms < mask_prob.data
+
+
+def keep_factor(mask_prob: Tensor, mask: np.ndarray, straight_through: bool = False) -> Tensor:
+    """Multiplicative keep factor 1 - mask for the raw input channel.
+
+    The hard mask is a constant by default; the straight-through variant
+    keeps its values but routes the gradient of the keep probability
+    ``1 - mask_prob`` through it (Bengio, Leonard & Courville, arXiv:1308.3432).
+    """
+    hard = (~mask).astype(np.float64)
     if not straight_through:
         return Tensor(hard)
     soft = 1.0 - mask_prob

@@ -16,8 +16,8 @@ from pathlib import Path
 from .config import RunConfig, load_config
 from .data import save_csv, save_prepared
 from .errors import MosslError
+from .gradcheck import PASS_THRESHOLD
 from .runs import (
-    GRADCHECK_THRESHOLD,
     export_representations,
     prepared_from_config,
     run_ablation,
@@ -125,9 +125,9 @@ def cmd_gradcheck(args) -> int:
     cfg = _load(args)
     report = run_gradcheck(cfg, quiet=args.quiet)
     print(f"max relative error: {report.max_rel_error:.6e}")
-    if not report.passed(GRADCHECK_THRESHOLD):
+    if not report.passed():
         print(
-            f"FAIL: {report.worst_param}[{report.worst_index}] exceeds {GRADCHECK_THRESHOLD:g}",
+            f"FAIL: {report.worst_param}[{report.worst_index}] exceeds {PASS_THRESHOLD:g}",
             file=sys.stderr,
         )
         return 3

@@ -61,17 +61,13 @@ class EncoderParams:
     layers: list[LayerParams] = field(default_factory=list)
 
 
-def project(x: Tensor, p: ProjectionParams) -> Tensor:
-    return linear(x, p.weight, p.bias, relu=True)
-
-
 def input_project(x: Tensor, p: ProjectionParams) -> Tensor:
     """Lift raw channels to the hidden width: [..., C_in] -> [..., hidden]."""
     if x.shape[-1] != p.weight.shape[0]:
         raise ConfigError(
             f"input has {x.shape[-1]} channels but projection expects {p.weight.shape[0]}"
         )
-    return project(x, p)
+    return linear(x, p.weight, p.bias, relu=True)
 
 
 def axis_attention(h: Tensor, attn: AttentionParams, axis: int) -> Tensor:

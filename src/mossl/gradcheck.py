@@ -18,6 +18,8 @@ from .tensor import Tensor, gradients
 # equivalent to that absolute tolerance for small gradients while staying
 # fully relative for gradients above 1e-3.
 DENOM_FLOOR = 1e-3
+# A check passes when its maximum relative error is below this bound.
+PASS_THRESHOLD = 1e-4
 
 
 @dataclass
@@ -27,8 +29,8 @@ class GradCheckReport:
     worst_index: int
     per_param: dict[str, float] = field(default_factory=dict)
 
-    def passed(self, threshold: float = 1e-4) -> bool:
-        return self.max_rel_error < threshold
+    def passed(self) -> bool:
+        return self.max_rel_error < PASS_THRESHOLD
 
 
 def _eval_loss(loss_fn: Callable[[], Tensor], param_name: str) -> float:

@@ -382,13 +382,14 @@ def _forward_batch(
             phi = aug.modality_relevance(stop_gradient(h), params.relevance_weight)
             prob = aug.input_mask_probability(phi, x_t.shape[-3], model_cfg.mask_scale)
             if mask_override is not None:
+                # a pinned mask is a constant: straight-through applies to a drawn one
                 mask = np.asarray(mask_override, dtype=bool)
-                keep = Tensor((~mask).astype(np.float64))
+                keep = aug.keep_factor(prob, mask)
+            elif mask_uniforms is None:
+                raise ConfigError("training with masking needs mask_uniforms or mask_override")
             else:
-                if mask_uniforms is None:
-                    raise ConfigError("training with masking needs mask_uniforms or mask_override")
-                mask = mask_uniforms < prob.data
-                keep = aug.keep_factor(prob, mask_uniforms, model_cfg.straight_through_mask)
+                mask = aug.mask_from_uniforms(prob, mask_uniforms)
+                keep = aug.keep_factor(prob, mask, model_cfg.straight_through_mask)
             result.mask = mask
             x_aug = aug.build_augmented_input(x_t, keep, params.embedding)
             result.augmented_input = x_aug

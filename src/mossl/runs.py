@@ -44,8 +44,6 @@ from .training import (
 
 logger = logging.getLogger("mossl")
 
-GRADCHECK_THRESHOLD = 1e-4
-
 ABLATION_VARIANTS = {
     "full": {},
     "no_av": {"no_av": True},
@@ -172,7 +170,9 @@ def run_gradcheck(cfg: RunConfig, quiet: bool = False) -> GradCheckReport:
     """Finite-difference check of the full joint objective at config dims.
 
     The mask draw is frozen up front so the loss is a deterministic function
-    of the parameters, and every parameter gets a small random offset so the
+    of the parameters.  A pinned mask makes the keep factor a constant, also
+    under ``straight_through_mask``, so the check covers the gradient of the
+    hard-mask objective.  Every parameter gets a small random offset so the
     check runs at a generic point: freshly zeroed biases otherwise sit
     exactly on relu kinks, where one-sided subgradients and central
     differences legitimately disagree.

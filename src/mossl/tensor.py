@@ -33,7 +33,6 @@ __all__ = [
     "attention",
     "gated_tanh",
     "relu",
-    "tanh",
     "sigmoid",
     "exp",
     "log",
@@ -367,15 +366,6 @@ def relu(x: Tensor) -> Tensor:
 
     def backward_fn(g):
         x._accumulate(g * (out > 0.0))
-
-    return _make(out, (x,), backward_fn)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-
-    def backward_fn(g):
-        x._accumulate(g * (1.0 - out * out))
 
     return _make(out, (x,), backward_fn)
 

@@ -30,7 +30,7 @@ from mossl.model import (
 from mossl.rng import derive_rng
 from mossl.runs import run_ablation, run_gradcheck, run_training, load_run_params
 from mossl.tensor import Tensor, dilated_causal_conv
-from mossl.training import TrainConfig, evaluate, persistence_metrics, train
+from mossl.training import TrainConfig, evaluate, persistence_metrics, train, window_mask_uniforms
 from oracles import attention_loop, conv_loop, contrastive_loop, dense_taps, gmm_nll_prob_domain
 
 TINY_CONFIG_TEXT = json.dumps(
@@ -187,23 +187,52 @@ def test_criterion_4_closed_form_anchors():
 
 
 def test_criterion_5_mask_rate_statistics():
-    """Uniform relevance over M=4 masks each cell at rate 0.75 +/- 0.02."""
-    grid = (5, 2, 4)
-    phi = np.full(grid, 0.25)  # w0 = 0 makes relevance uniform over 4 modalities
+    """Uniform relevance over M=4 masks each cell at rate 0.75 +/- 0.02.
+
+    The draws are training's own (``window_mask_uniforms``) and the mask is the
+    one ``forward_pass`` applies (``mask_from_uniforms``).
+    """
+    steps, nodes, modalities, hidden = 5, 2, 4, 3
+    h = Tensor(derive_rng(55, "mask-rate-h").standard_normal((1, nodes, modalities, hidden)))
+    phi = aug.modality_relevance(h, Tensor(np.zeros(hidden)))  # w0 = 0: uniform over 4
+    prob = aug.input_mask_probability(phi, steps)
+    assert np.array_equal(prob.data, np.full((steps, nodes, modalities), 0.75))
+
+    def mask(window: int) -> np.ndarray:
+        return aug.mask_from_uniforms(prob, window_mask_uniforms(55, 0, window, prob.shape))
+
     draws = 10_000
-    counts = np.zeros(grid)
+    counts = np.zeros(prob.shape)
     for i in range(draws):
-        counts += aug.sample_mask(phi, derive_rng(55, "mask-rate", i))
+        counts += mask(i)
     rates = counts / draws
     assert np.all(np.abs(rates - 0.75) < 0.02)
 
-    again = [aug.sample_mask(phi, derive_rng(55, "mask-rate", i)) for i in (0, 1)]
-    assert np.array_equal(again[0], aug.sample_mask(phi, derive_rng(55, "mask-rate", 0)))
+    again = [mask(i) for i in (0, 1)]
+    assert np.array_equal(again[0], mask(0))
     assert not np.array_equal(again[0], again[1])
+
+    # the mask a training pass applies is that function of the same uniforms
+    cfg = parse_config(TINY_CONFIG_TEXT)
+    synth = cfg.data.synthetic
+    dims = ModelDims(cfg.data.input_steps, cfg.data.output_steps, synth.nodes, synth.modalities)
+    flags = AblationFlags()
+    params = init_params(cfg.model, dims, flags, seed=0)
+    params.relevance_weight.data[:] = 0.0
+    grid = (dims.input_steps, dims.nodes, dims.modalities)
+    x = derive_rng(55, "mask-rate-pass").standard_normal((2,) + grid)
+    uniforms = np.stack([window_mask_uniforms(55, 0, i, grid) for i in range(2)])
+    res = forward_pass(params, cfg.model, flags, LossWeights(), x, mask_uniforms=uniforms)
+    pass_phi = aug.modality_relevance(res.h, params.relevance_weight)
+    pass_prob = aug.input_mask_probability(pass_phi, dims.input_steps)
+    assert np.array_equal(pass_prob.data, np.full(x.shape, 0.5))
+    assert np.array_equal(res.mask, aug.mask_from_uniforms(pass_prob, uniforms))
+    assert 0 < res.mask.sum() < res.mask.size
     report(
         "criterion 5",
         f"per-cell mask frequency in [{rates.min():.3f}, {rates.max():.3f}] "
-        f"over 10^4 draws; fixed seed reproduces the draw",
+        f"over 10^4 training draws; fixed seed reproduces the draw; "
+        f"forward_pass applies the same mask",
     )
 
 

@@ -4,8 +4,8 @@ import numpy as np
 from scipy.special import softmax as scipy_softmax
 
 from mossl import augmentation as aug
-from mossl.rng import derive_rng
 from mossl.tensor import Tensor, gradients
+from mossl.training import window_mask_uniforms
 
 
 def rng(seed=0):
@@ -36,26 +36,27 @@ class TestRelevance:
 
 
 class TestMaskSampling:
+    """The mask ``forward_pass`` applies: ``mask_from_uniforms`` on training's uniforms."""
+
+    def mask(self, phi, seed, window=0, scale=1.0, input_steps=4):
+        prob = aug.input_mask_probability(Tensor(phi), input_steps, scale)
+        return aug.mask_from_uniforms(prob, window_mask_uniforms(seed, 0, window, prob.shape))
+
     def test_full_relevance_never_masks(self):
-        phi = np.full((20, 3, 1), 1.0)
-        mask = aug.sample_mask(phi, derive_rng(0, "t"))
-        assert not mask.any()
+        assert not self.mask(np.full((1, 20, 3), 1.0), seed=0).any()
 
     def test_fixed_seed_reproduces_mask(self):
-        phi = rng(8).uniform(0.1, 0.9, size=(6, 2, 3))
-        a = aug.sample_mask(phi, derive_rng(5, "mask"))
-        b = aug.sample_mask(phi, derive_rng(5, "mask"))
-        assert np.array_equal(a, b)
+        phi = rng(8).uniform(0.1, 0.9, size=(1, 6, 3))
+        assert np.array_equal(self.mask(phi, seed=5), self.mask(phi, seed=5))
+        assert not np.array_equal(self.mask(phi, seed=5), self.mask(phi, seed=6))
 
     def test_empirical_rate_tracks_probability(self):
-        phi = np.full((10, 2, 4), 0.25)
-        draws = [aug.sample_mask(phi, derive_rng(9, "rate", i)) for i in range(2000)]
-        rate = np.mean(draws)
+        phi = np.full((1, 2, 4), 0.25)
+        rate = np.mean([self.mask(phi, seed=9, window=i, input_steps=10) for i in range(2000)])
         assert abs(rate - 0.75) < 0.01
 
     def test_scale_factor_shrinks_probability(self):
-        phi = np.full((400, 2, 4), 0.25)
-        mask = aug.sample_mask(phi, derive_rng(10, "s"), scale=0.5)
+        mask = self.mask(np.full((1, 2, 4), 0.25), seed=10, scale=0.5, input_steps=400)
         assert abs(mask.mean() - 0.375) < 0.02
 
     def test_input_probability_broadcasts_over_time(self):
@@ -107,7 +108,7 @@ class TestKeepFactor:
     def test_hard_draw_is_constant_by_default(self):
         prob = Tensor(np.full((2, 4, 1, 2), 0.5), requires_grad=False)
         uniforms = rng(13).random((2, 4, 1, 2))
-        keep = aug.keep_factor(prob, uniforms)
+        keep = aug.keep_factor(prob, aug.mask_from_uniforms(prob, uniforms))
         assert not keep.requires_grad
         assert set(np.unique(keep.data)) <= {0.0, 1.0}
         assert np.array_equal(keep.data == 0.0, uniforms < 0.5)
@@ -115,9 +116,9 @@ class TestKeepFactor:
     def test_straight_through_keeps_hard_values_but_carries_gradient(self):
         w = Tensor(np.array([0.3]), requires_grad=True)
         prob = w * Tensor(np.ones((1, 4, 1, 1)))
-        uniforms = rng(14).random((1, 4, 1, 1))
-        hard = aug.keep_factor(prob, uniforms)
-        soft = aug.keep_factor(prob, uniforms, straight_through=True)
+        mask = aug.mask_from_uniforms(prob, rng(14).random((1, 4, 1, 1)))
+        hard = aug.keep_factor(prob, mask)
+        soft = aug.keep_factor(prob, mask, straight_through=True)
         assert np.array_equal(hard.data, soft.data)
         grads = gradients(soft.sum(), {"w": w})
         assert grads["w"][0] != 0.0

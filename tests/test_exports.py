@@ -1,0 +1,61 @@
+"""Every export of the core modules has a caller in the package.
+
+A name in ``__all__`` that nothing in ``src/mossl`` uses is a second path
+kept alive only by its tests; delete it instead.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import mossl
+
+PACKAGE = Path(mossl.__file__).parent
+CHECKED = ("tensor", "augmentation", "mssl")
+
+
+def exported(module: str) -> list[str]:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    raise AssertionError(f"{module}.py has no __all__")
+
+
+def references(path: Path) -> set[tuple[str, str]]:
+    """(module, name) pairs that one source file reads.
+
+    A bare name counts for the module it was imported from, or for the file's
+    own module; ``alias.name`` counts when ``alias`` is an imported package
+    module.  Definitions, imports and ``__all__`` strings are not reads.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    own, imported, modules = path.stem, {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    modules[local] = alias.name
+                else:
+                    imported[local] = node.module
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add((imported.get(node.id, own), node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                found.add((modules[node.value.id], node.attr))
+    return found
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_every_export_has_a_caller_in_the_package(module):
+    used = set()
+    for path in PACKAGE.rglob("*.py"):
+        used |= references(path)
+    unused = [name for name in exported(module) if (module, name) not in used]
+    assert not unused, f"{module}.__all__ names with no caller in src/mossl: {unused}"

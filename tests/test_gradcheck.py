@@ -1,11 +1,16 @@
 """Contracts of the finite-difference gradient checker."""
 
+import json
+
 import numpy as np
 import pytest
 
+from mossl.config import parse_config
 from mossl.errors import NumericalError
-from mossl.gradcheck import grad_check
+from mossl.gradcheck import PASS_THRESHOLD, grad_check
+from mossl.runs import run_gradcheck
 from mossl.tensor import Tensor, gradients
+from test_acceptance import TINY_CONFIG_TEXT
 
 
 def test_quadratic_loss_analytic_gradient():
@@ -59,3 +64,12 @@ def test_report_locates_worst_coordinate():
     assert report.worst_param == "theta"
     assert report.worst_index in (0, 1)
     assert set(report.per_param) == {"theta"}
+
+
+def test_full_model_passes_with_straight_through_mask():
+    # run_gradcheck pins the mask, so the keep factor is a constant here too
+    raw = json.loads(TINY_CONFIG_TEXT)
+    raw["model"]["straight_through_mask"] = True
+    report = run_gradcheck(parse_config(json.dumps(raw)), quiet=True)
+    assert PASS_THRESHOLD == 1e-4
+    assert report.passed(), (report.max_rel_error, report.worst_param)
