@@ -21,6 +21,7 @@ __all__ = [
     "modality_relevance",
     "input_mask_probability",
     "mask_from_uniforms",
+    "uniforms_for_mask",
     "keep_factor",
     "build_augmented_input",
 ]
@@ -64,6 +65,15 @@ def mask_from_uniforms(mask_prob: Tensor, uniforms: np.ndarray) -> np.ndarray:
     probability.
     """
     return uniforms < mask_prob.data
+
+
+def uniforms_for_mask(mask: np.ndarray) -> np.ndarray:
+    """The 0/1 uniforms under which ``mask_from_uniforms`` reproduces ``mask``.
+
+    0.0 where it is set and 1.0 elsewhere: a masked cell's probability is
+    above 0.0, and none is above 1.0, so this holds at any probability.
+    """
+    return np.where(mask, 0.0, 1.0)
 
 
 def keep_factor(mask_prob: Tensor, mask: np.ndarray, straight_through: bool = False) -> Tensor:

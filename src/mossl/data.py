@@ -227,7 +227,6 @@ def load_csv(path: str | Path, descriptor: dict | None = None) -> MoSTSeries:
             raise DataError(f"CSV {path} is missing columns {missing_cols}; header was {header}")
         for line_no, row in enumerate(reader, start=2):
             t, n, m = row["time"], row["node"], row["modality"]
-            _parse_time(t)
             try:
                 value = float(row["value"])
             except (TypeError, ValueError) as exc:

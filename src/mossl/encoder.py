@@ -152,9 +152,10 @@ class EncoderStream:
     last: np.ndarray | None = None
     queues: list[np.ndarray | None] = field(default_factory=list)
 
-    def continues(self, window: np.ndarray) -> bool:
-        """True when ``window`` is the last window moved on by one step."""
-        return self.last is not None and np.array_equal(window[:-1], self.last[1:])
+
+def consecutive(windows: np.ndarray) -> bool:
+    """True when each of ``windows`` [B, T, ...] is the previous one moved on by one step."""
+    return np.array_equal(windows[1:, :-1], windows[:-1, 1:])
 
 
 def encode_stream(
@@ -175,7 +176,7 @@ def encode_stream(
     """
     steps = windows.shape[1]
     cfg.check_input_steps(steps, "streamed window steps")
-    if stream.continues(windows[0]):
+    if stream.last is not None and consecutive(np.stack([stream.last, windows[0]])):
         series = windows[:, -1]
     else:
         stream.queues = [None] * len(layers)

@@ -44,13 +44,12 @@ def grad_check(
     loss_fn: Callable[[], Tensor],
     params: dict[str, Tensor],
     eps: float = 1e-6,
-    denom_floor: float = DENOM_FLOOR,
 ) -> GradCheckReport:
     """Compare reverse-mode gradients of ``loss_fn`` against central differences.
 
     ``loss_fn`` must be deterministic and recompute the loss from the current
     parameter values on every call.  Relative error per coordinate is
-    |analytic - numeric| / max(|analytic|, |numeric|, denom_floor); the report
+    |analytic - numeric| / max(|analytic|, |numeric|, DENOM_FLOOR); the report
     holds the maximum over all coordinates of all parameters.
     """
     if eps <= 0:
@@ -74,7 +73,7 @@ def grad_check(
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             a = a_flat[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), DENOM_FLOOR)
             if rel > worst:
                 worst = rel
             if rel > report.max_rel_error:

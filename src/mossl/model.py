@@ -318,15 +318,14 @@ def forward_pass(
     x: np.ndarray,
     y: np.ndarray | None = None,
     mask_uniforms: np.ndarray | None = None,
-    mask_override: np.ndarray | None = None,
     training: bool = True,
     stream: enc.EncoderStream | None = None,
 ) -> ForwardResult:
     """One pass over a batch: original view, optional companion view, all losses.
 
     ``x`` is [B, T, N, M]; ``y`` is [B, O, N, M] or None for pure inference.
-    ``mask_uniforms`` supplies the U(0,1) draws for masking; alternatively a
-    boolean ``mask_override`` pins the mask (used by gradient checking).
+    ``mask_uniforms`` supplies the U(0,1) draws a masked training pass needs;
+    ``augmentation.uniforms_for_mask`` turns a drawn mask into draws that pin it.
     At evaluation time only the original view runs.
 
     A batch of windows whose layer-0 activation reaches ``SHARD_BYTES`` runs
@@ -340,8 +339,8 @@ def forward_pass(
     across the batches that share the stream.  Any other batch ignores it.
     """
     x = np.asarray(x, dtype=np.float64)
-    args = (params, model_cfg, flags, weights, x, y, mask_uniforms, mask_override, training)
-    if stream is not None and not training and np.array_equal(x[1:, :-1], x[:-1, 1:]):
+    args = (params, model_cfg, flags, weights, x, y, mask_uniforms, training)
+    if stream is not None and not training and enc.consecutive(x):
         return _forward_batch(*args, stream=stream)
     if len(x) > 1 and x[0].nbytes * model_cfg.hidden >= SHARD_BYTES:
         return _forward_sharded(*args)
@@ -356,7 +355,6 @@ def _forward_batch(
     x: np.ndarray,
     y: np.ndarray | None,
     mask_uniforms: np.ndarray | None,
-    mask_override: np.ndarray | None,
     training: bool,
     stream: enc.EncoderStream | None = None,
 ) -> ForwardResult:
@@ -381,16 +379,10 @@ def _forward_batch(
         if flags.masked_view:
             phi = aug.modality_relevance(stop_gradient(h), params.relevance_weight)
             prob = aug.input_mask_probability(phi, x_t.shape[-3], model_cfg.mask_scale)
-            if mask_override is not None:
-                # a pinned mask is a constant: straight-through applies to a drawn one
-                mask = np.asarray(mask_override, dtype=bool)
-                keep = aug.keep_factor(prob, mask)
-            elif mask_uniforms is None:
-                raise ConfigError("training with masking needs mask_uniforms or mask_override")
-            else:
-                mask = aug.mask_from_uniforms(prob, mask_uniforms)
-                keep = aug.keep_factor(prob, mask, model_cfg.straight_through_mask)
-            result.mask = mask
+            if mask_uniforms is None:
+                raise ConfigError("training with masking needs mask_uniforms")
+            result.mask = aug.mask_from_uniforms(prob, mask_uniforms)
+            keep = aug.keep_factor(prob, result.mask, model_cfg.straight_through_mask)
             x_aug = aug.build_augmented_input(x_t, keep, params.embedding)
             result.augmented_input = x_aug
             h_second = enc.encode(x_aug, params.aug_input_proj, params.encoder.layers, model_cfg)
@@ -432,7 +424,6 @@ def _forward_sharded(
     x: np.ndarray,
     y: np.ndarray | None,
     mask_uniforms: np.ndarray | None,
-    mask_override: np.ndarray | None,
     training: bool,
 ) -> ForwardResult:
     """``forward_pass`` as one ``_forward_batch`` shard per window, run on the pool.
@@ -446,7 +437,7 @@ def _forward_sharded(
     """
     count = len(x)
     bound = [_bind(params) for _ in range(count)]
-    arrays = (x, y, mask_uniforms, mask_override)
+    arrays = (x, y, mask_uniforms)
 
     def shard(b: int) -> ForwardResult:
         rows = [None if a is None else np.asarray(a)[b : b + 1] for a in arrays]

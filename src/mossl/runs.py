@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .augmentation import uniforms_for_mask
 from .config import RunConfig
 from .container import save_tensor
 from .data import (
@@ -169,13 +170,13 @@ def load_run_params(cfg: RunConfig, checkpoint_path: str | Path, prepared: Prepa
 def run_gradcheck(cfg: RunConfig, quiet: bool = False) -> GradCheckReport:
     """Finite-difference check of the full joint objective at config dims.
 
-    The mask draw is frozen up front so the loss is a deterministic function
-    of the parameters.  A pinned mask makes the keep factor a constant, also
-    under ``straight_through_mask``, so the check covers the gradient of the
-    hard-mask objective.  Every parameter gets a small random offset so the
-    check runs at a generic point: freshly zeroed biases otherwise sit
-    exactly on relu kinks, where one-sided subgradients and central
-    differences legitimately disagree.
+    One mask is drawn up front and every pass gets its 0/1 ``uniforms_for_mask``,
+    so the loss is a deterministic function of the parameters; with
+    ``straight_through_mask`` off the keep factor is a constant, so the check
+    covers the hard-mask objective.  Every parameter gets a small random
+    offset so the check runs at a generic point: freshly zeroed biases
+    otherwise sit exactly on relu kinks, where one-sided subgradients and
+    central differences legitimately disagree.
     """
     prepared = prepared_from_config(cfg)
     train_ws = prepared.splits["train"]
@@ -185,25 +186,20 @@ def run_gradcheck(cfg: RunConfig, quiet: bool = False) -> GradCheckReport:
     x = train_ws.x[:batch]
     y = train_ws.y[:batch]
     flags = cfg.train.ablation
-    params = init_params(cfg.model, model_dims(prepared), flags, cfg.seed)
+    model_cfg = dataclasses.replace(cfg.model, straight_through_mask=False)
+    params = init_params(model_cfg, model_dims(prepared), flags, cfg.seed)
     for name, p in params.named.items():
         p.data += derive_rng(cfg.seed, "gradcheck-offset", name).uniform(-0.05, 0.05, p.shape)
     weights = cfg.train.loss_weights
 
-    mask_override = None
+    uniforms = derive_rng(cfg.seed, "gradcheck-mask").random(x.shape)
     if flags.masked_view:
-        uniforms = derive_rng(cfg.seed, "gradcheck-mask").random(x.shape)
         with no_grad():
-            first = forward_pass(
-                params, cfg.model, flags, weights, x, y, mask_uniforms=uniforms, training=True
-            )
-        mask_override = first.mask
+            first = forward_pass(params, model_cfg, flags, weights, x, y, mask_uniforms=uniforms)
+        uniforms = uniforms_for_mask(first.mask)
 
     def loss_fn():
-        res = forward_pass(
-            params, cfg.model, flags, weights, x, y, mask_override=mask_override, training=True
-        )
-        return res.total
+        return forward_pass(params, model_cfg, flags, weights, x, y, mask_uniforms=uniforms).total
 
     started = time.perf_counter()
     report = grad_check(loss_fn, params.named)

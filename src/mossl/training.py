@@ -14,7 +14,7 @@ import numpy as np
 
 from .container import read_tensor, write_tensor
 from .data import NormStats, PreparedData
-from .encoder import EncoderStream
+from .encoder import EncoderStream, consecutive
 from .errors import CheckpointError, ConfigError, DataError, require_at_least_one
 from .model import (
     AblationFlags,
@@ -175,7 +175,7 @@ def split_predictions(
     flags = AblationFlags()
     weights = LossWeights()
     # a stream pays off only over windows that continue one another (stride 1)
-    stream = EncoderStream() if np.array_equal(ws.x[1:2, :-1], ws.x[:1, 1:]) else None
+    stream = EncoderStream() if ws.count > 1 and consecutive(ws.x[:2]) else None
     chunks = []
     for start in range(0, ws.count, batch_size):
         x = ws.x[start : start + batch_size]

@@ -66,6 +66,12 @@ class TestMaskSampling:
         assert np.allclose(prob.data[:, 0], prob.data[:, 5])
         assert np.allclose(prob.data[:, 0], 1.0 - phi.data[:, 0], atol=1e-12)
 
+    def test_uniforms_for_mask_reproduce_it_at_every_probability(self):
+        # the clip bounds 0 and 1 are the edges where a pinned cell could flip
+        prob = Tensor(np.concatenate([[0.0, 1.0, 1e-300], rng(12).random(997)]))
+        mask = aug.mask_from_uniforms(prob, rng(13).random(prob.shape))
+        assert np.array_equal(aug.mask_from_uniforms(prob, aug.uniforms_for_mask(mask)), mask)
+
 
 class TestAugmentedInput:
     def grid(self, t=3, n=2, m=2, hidden=4, seed=12):

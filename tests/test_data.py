@@ -117,6 +117,12 @@ class TestCsv:
         with pytest.raises(DataError, match="unparseable value"):
             load_csv(path)
 
+    def test_unparseable_time_label(self, tmp_path):
+        path = tmp_path / "time.csv"
+        path.write_text("time,node,modality,value\n0,a,x,1.0\nnoon,a,x,2.0\n2,a,x,3.0\n")
+        with pytest.raises(DataError, match="unparseable timestamp 'noon'"):
+            load_csv(path)
+
     @pytest.mark.parametrize("text", ["{nodes: 3", "[3, 2]"])
     def test_malformed_descriptor_is_data_error(self, tmp_path, text):
         path = tmp_path / "descriptor.json"

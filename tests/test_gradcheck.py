@@ -66,10 +66,15 @@ def test_report_locates_worst_coordinate():
     assert set(report.per_param) == {"theta"}
 
 
-def test_full_model_passes_with_straight_through_mask():
-    # run_gradcheck pins the mask, so the keep factor is a constant here too
+@pytest.mark.parametrize("straight_through", [False, True])
+def test_full_model_passes_with_straight_through_mask(straight_through):
+    # run_gradcheck pins the mask and checks the hard-mask objective, so the
+    # straight-through setting leaves the report unchanged to the last bit
     raw = json.loads(TINY_CONFIG_TEXT)
-    raw["model"]["straight_through_mask"] = True
+    raw["model"]["straight_through_mask"] = straight_through
     report = run_gradcheck(parse_config(json.dumps(raw)), quiet=True)
     assert PASS_THRESHOLD == 1e-4
     assert report.passed(), (report.max_rel_error, report.worst_param)
+    assert report.max_rel_error == 6.179652458666992e-06
+    assert report.worst_param == "encoder.layers.1.conv.gate"
+    assert report.worst_index == 24

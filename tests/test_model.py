@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mossl.augmentation import uniforms_for_mask
 from mossl.errors import ConfigError, NumericalError
 from mossl.model import (
     AblationFlags,
@@ -149,14 +150,17 @@ class TestForwardPass:
         for name in ("embedding.time", "embedding.node", "embedding.modality"):
             assert np.abs(grads[name]).max() > 0.0, name
 
-    def test_mask_override_reproduces_uniform_draw(self):
+    def test_pinned_uniforms_reproduce_drawn_mask(self):
         flags = AblationFlags()
         params = init_params(TINY, DIMS, flags, seed=7)
         x, y, u = tiny_batch(7)
         first = forward_pass(params, TINY, flags, LossWeights(), x, y, mask_uniforms=u, training=True)
+        pinned = uniforms_for_mask(first.mask)
         second = forward_pass(
-            params, TINY, flags, LossWeights(), x, y, mask_override=first.mask, training=True
+            params, TINY, flags, LossWeights(), x, y, mask_uniforms=pinned, training=True
         )
+        assert first.mask.any() and not first.mask.all()
+        assert np.array_equal(second.mask, first.mask)
         assert float(first.total.data) == float(second.total.data)
 
 

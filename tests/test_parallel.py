@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mossl import model, parallel, tensor
+from mossl.augmentation import uniforms_for_mask
 from mossl.errors import ConfigError, NumericalError
 from mossl.gradcheck import grad_check
 from mossl.model import AblationFlags, LossWeights, ModelConfig, ModelDims, forward_pass, init_params
@@ -114,9 +115,10 @@ def test_sharded_full_model_gradient_check(monkeypatch):
         p.data += derive_rng(0, "gradcheck-offset", name).uniform(-0.05, 0.05, p.shape)
     with no_grad():
         mask = forward_pass(params, cfg, flags, LossWeights(), x, y, mask_uniforms=u).mask
+    pinned = uniforms_for_mask(mask)
 
     def loss_fn():
-        res = forward_pass(params, cfg, flags, LossWeights(), x, y, mask_override=mask)
+        res = forward_pass(params, cfg, flags, LossWeights(), x, y, mask_uniforms=pinned)
         assert is_sharded(res, params)
         return res.total
 
