@@ -330,6 +330,9 @@ def load_prepared(path: str | Path) -> MoSTSeries:
     lacking = [key for key in keys if key not in meta]
     if lacking:
         raise DataError(f"prepared metadata {root / 'meta.json'} lacks {lacking}")
+    for key in keys:
+        if not isinstance(meta[key], list):
+            raise DataError(f"prepared metadata {root / 'meta.json'}: {key} must be a JSON list")
     try:
         values = load_tensor(root / "values.mostt")
     except CheckpointError as exc:  # the container's error for any file it reads

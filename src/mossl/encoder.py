@@ -119,13 +119,14 @@ def _conv_input(h: Tensor, layer: LayerParams) -> Tensor:
 
 
 def encode(x: Tensor, proj: ProjectionParams, layers: list[LayerParams], cfg: ModelConfig) -> Tensor:
-    """Full encoder pass: [..., T, N, M, C_in] -> [..., T - receptive_field + 1, N, M, hidden].
+    """Full encoder pass: [..., receptive_field, N, M, C_in] -> [..., 1, N, M, hidden].
 
     Every layer computes only the time steps that reach the output
-    (``ModelConfig.time_plan``): input steps no output reads are never
-    projected, and attention and convolution run on the kept steps alone.
+    (``ModelConfig.time_plan``): input steps the output does not read are
+    never projected, and attention and convolution run on the kept steps alone.
     """
-    plan = cfg.time_plan(x.shape[-4])
+    cfg.check_input_steps(x.shape[-4], "encoder window steps")
+    plan = cfg.time_plan()
     if len(plan.steps[0]) < x.shape[-4]:
         x = x[_time_index(plan.steps[0])]
     h = input_project(x, proj)

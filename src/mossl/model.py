@@ -24,9 +24,10 @@ class TimePlan:
     """Time steps of an encoder pass, from ``ModelConfig.time_plan``.
 
     ``steps[l]`` holds the window steps kept at the input of layer l
-    (``steps[0]`` feeds the input projection, ``steps[-1]`` are the output
-    steps).  ``taps[l][j]`` indexes, within ``steps[l]``, the step kernel tap
-    j of layer l reads for each of the layer's output steps ``steps[l + 1]``.
+    (``steps[0]`` feeds the input projection, ``steps[-1]`` holds the one
+    output step).  ``taps[l][j]`` indexes, within ``steps[l]``, the step
+    kernel tap j of layer l reads for each of the layer's output steps
+    ``steps[l + 1]``.
     """
 
     steps: tuple[np.ndarray, ...]
@@ -59,22 +60,16 @@ class ModelConfig:
         """Input steps the dilated convolutions collapse to the one step the predictor reads."""
         return 1 + (self.kernel_size - 1) * sum(self.dilations)
 
-    def time_plan(self, input_steps: int) -> TimePlan:
-        """The time steps each layer computes for a window of ``input_steps``.
+    def time_plan(self) -> TimePlan:
+        """The time steps each layer computes for a window of ``receptive_field`` steps.
 
-        Works back from the output steps ``receptive_field - 1 ... input_steps - 1``:
-        tap j of a layer with dilation d reads, for output step s, step
-        ``s - (k-1-j)*d`` of the layer's input, and a layer's input keeps the
-        union of what its taps read.  Steps no output reaches are never computed.
+        Works back from the one output step ``receptive_field - 1``: tap j of a
+        layer with dilation d reads, for output step s, step ``s - (k-1-j)*d``
+        of the layer's input, and a layer's input keeps the union of what its
+        taps read.  Steps the output does not reach are never computed.
         """
-        if input_steps < self.receptive_field:
-            raise ConfigError(
-                f"temporal window too short: {input_steps} steps cannot cover the receptive "
-                f"field {self.receptive_field} of kernel size {self.kernel_size} with "
-                f"dilations {self.dilations}"
-            )
         k = self.kernel_size
-        steps = [np.arange(self.receptive_field - 1, input_steps)]
+        steps = [np.array([self.receptive_field - 1])]
         taps = []
         for d in reversed(self.dilations):
             reads = [steps[0] - (k - 1 - j) * d for j in range(k)]
@@ -276,14 +271,10 @@ def init_params(
 
 
 def predict(h: Tensor, predictor: PredictorParams) -> Tensor:
-    """Two fully connected layers mapping the last surviving step to O horizons.
+    """Two fully connected layers mapping the encoder's one output step to O horizons.
 
     [B, 1, N, M, hidden] -> [B, O, N, M].
     """
-    if h.shape[-4] != 1:
-        raise ConfigError(
-            f"predictor expects the encoder to collapse time to one step, got {h.shape[-4]}"
-        )
     squeezed = reshape(h, h.shape[:-4] + h.shape[-3:])
     hidden_act = linear(relu(squeezed), predictor.hidden_weight, predictor.hidden_bias, relu=True)
     out = linear(hidden_act, predictor.out_weight, predictor.out_bias)  # [B, N, M, O]

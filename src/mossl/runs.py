@@ -143,7 +143,12 @@ def write_metrics(metrics: Metrics, out_dir: Path, stem: str) -> None:
 def load_run_params(cfg: RunConfig, checkpoint_path: str | Path, prepared: PreparedData):
     """Restore parameters for evaluation, cross-checking config and data."""
     manifest, arrays = load_checkpoint(checkpoint_path)
-    flags = AblationFlags(**manifest.get("ablation", {}))
+    try:
+        flags = AblationFlags(**manifest.get("ablation", {}))
+    except TypeError as exc:
+        raise CheckpointError(
+            f"checkpoint {checkpoint_path}: manifest has no valid ablation flags"
+        ) from exc
     try:
         dims = ModelDims(**manifest["dims"])
     except (KeyError, TypeError) as exc:
@@ -232,7 +237,7 @@ def export_representations(
         raise DataError(f"split '{split}' has no windows")
     weights = cfg.train.loss_weights
     grid_shape = ws.x.shape[1:]
-    h_parts, h2_parts, gamma_parts, mu_parts, sigma_parts = [], [], [], [], []
+    parts: dict[str, list[np.ndarray]] = {}
     for start in range(0, ws.count, batch_size):
         x = ws.x[start : start + batch_size]
         uniforms = None
@@ -247,27 +252,18 @@ def export_representations(
             res = forward_pass(
                 params, cfg.model, flags, weights, x, y=None, mask_uniforms=uniforms, training=True
             )
-        h_parts.append(res.h.data)
-        if res.h_second is not None:
-            h2_parts.append(res.h_second.data)
+        batch = {"representation": res.h, "representation_augmented": res.h_second}
         if res.mixture is not None:
-            gamma_parts.append(res.mixture.gamma.data)
-            mu_parts.append(res.mixture.mu.data)
-            sigma_parts.append(res.mixture.sigma2.data)
+            mix = res.mixture
+            batch.update(memberships=mix.gamma, means=mix.mu, variances=mix.sigma2)
+        for stem, t in batch.items():
+            if t is not None:
+                parts.setdefault(stem, []).append(t.data)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = {"representation": "representation.mostt"}
-    save_tensor(out / "representation.mostt", np.concatenate(h_parts))
-    if h2_parts:
-        save_tensor(out / "representation_augmented.mostt", np.concatenate(h2_parts))
-        written["representation_augmented"] = "representation_augmented.mostt"
-    if gamma_parts:
-        save_tensor(out / "memberships.mostt", np.concatenate(gamma_parts))
-        save_tensor(out / "means.mostt", np.concatenate(mu_parts))
-        save_tensor(out / "variances.mostt", np.concatenate(sigma_parts))
-        written.update(
-            memberships="memberships.mostt", means="means.mostt", variances="variances.mostt"
-        )
+    written = {stem: f"{stem}.mostt" for stem in parts}
+    for stem, arrays in parts.items():
+        save_tensor(out / written[stem], np.concatenate(arrays))
     (out / "export.json").write_text(
         json.dumps({"split": split, "windows": int(ws.count), "files": written}, indent=2)
     )

@@ -564,17 +564,14 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     return _make(out, (x,), backward_fn)
 
 
-def logsumexp(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+def logsumexp(x: Tensor, axis: int) -> Tensor:
     """log(sum(exp(x))) along ``axis``, computed via max shifting."""
     axis = axis % x.ndim
     shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
     inner = log(reduce_sum(exp(sub(x, shift)), axis=axis, keepdims=True))
-    out = add(inner, shift)
-    if not keepdims:
-        shape = list(out.shape)
-        del shape[axis]
-        out = reshape(out, shape)
-    return out
+    shape = list(x.shape)
+    del shape[axis]
+    return reshape(add(inner, shift), shape)
 
 
 # -- temporal convolution ---------------------------------------------------

@@ -392,8 +392,13 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         missing = [key for key in ("tensors", "norm_mean", "norm_std") if key not in manifest]
         if missing:
             raise CheckpointError(f"checkpoint {path}: manifest lacks {missing}")
+        entries = manifest["tensors"]
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and {"name", "shape"} <= e.keys() for e in entries
+        ):
+            raise CheckpointError(f"checkpoint {path}: manifest tensors are not [{{name, shape}}]")
         arrays = {}
-        for entry in manifest["tensors"]:
+        for entry in entries:
             arr = read_tensor(fh)
             if list(arr.shape) != entry["shape"]:
                 raise CheckpointError(

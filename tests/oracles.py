@@ -178,7 +178,7 @@ def encode_unfused(x, proj, layers, cfg):
 
     Drop-in replacement for ``encoder.encode``.
     """
-    plan = cfg.time_plan(x.shape[-4])
+    plan = cfg.time_plan()
     x = x[..., plan.steps[0], :, :, :]
     h = enc.input_project(x, proj)
     for layer, taps in zip(layers, plan.taps, strict=True):

@@ -239,17 +239,25 @@ class TestAblate:
             assert active == ([] if expected == "full" else [expected])
 
 
-def _manifest_without(key):
-    """A checkpoint edit that drops one manifest key and keeps the tensors."""
+def _manifest_edit(change):
+    """A checkpoint edit that applies ``change`` to the manifest and keeps the tensors."""
 
     def edit(blob):
         (length,) = struct.unpack("<I", blob[8:12])
         manifest = json.loads(blob[12 : 12 + length])
-        del manifest[key]
+        change(manifest)
         text = json.dumps(manifest).encode()
         return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + length :]
 
     return edit
+
+
+def _manifest_without(key):
+    return _manifest_edit(lambda manifest: manifest.pop(key))
+
+
+def _manifest_with(key, value):
+    return _manifest_edit(lambda manifest: manifest.update({key: value}))
 
 
 # name -> edit of the checkpoint bytes, or None for no file at all
@@ -258,6 +266,9 @@ CHECKPOINT_DAMAGE = {
     "cut-at-40-bytes": lambda blob: blob[:40],
     "manifest-without-norm_mean": _manifest_without("norm_mean"),
     "manifest-without-dims": _manifest_without("dims"),
+    "manifest-ablation-unknown-flag": _manifest_with("ablation", {"no_xyz": True}),
+    "manifest-ablation-not-object": _manifest_with("ablation", 5),
+    "manifest-tensors-not-list": _manifest_with("tensors", 5),
     "missing-file": None,
 }
 

@@ -165,11 +165,16 @@ class TestCsv:
             ("meta.json", lambda raw: b"\xff\xfe", "is not valid JSON"),
             ("meta.json", lambda raw: b"[]", "must hold a JSON object"),
             ("meta.json", lambda raw: b'{"time_labels": []}', r"lacks \['node_ids', 'modality_names'\]"),
+            (
+                "meta.json",
+                lambda raw: b'{"time_labels": [], "node_ids": 5, "modality_names": []}',
+                "node_ids must be a JSON list",
+            ),
             ("values.mostt", lambda raw: raw[:6], "truncated tensor container header"),
             ("values.mostt", lambda raw: raw[:-8], "truncated tensor payload"),
             ("values.mostt", lambda raw: b"NOPE" + raw[4:], "bad magic"),
         ],
-        ids=["meta-cut", "meta-not-utf8", "meta-not-object", "meta-lacks-keys",
+        ids=["meta-cut", "meta-not-utf8", "meta-not-object", "meta-lacks-keys", "meta-key-not-list",
              "values-cut-header", "values-cut-payload", "values-bad-magic"],
     )
     def test_damaged_prepared_file_is_data_error_naming_it(self, tmp_path, name, damage, message):

@@ -1,10 +1,12 @@
-"""Every export of the core modules has a caller in the package.
+"""Every export of the package's modules has a caller in the package.
 
-A name in ``__all__`` that nothing in ``src/mossl`` uses is a second path
-kept alive only by its tests; delete it instead.
+A name in ``__all__``, or a public top-level function or class, that nothing
+in ``src/mossl`` uses is a second path kept alive only by its tests; delete
+it instead.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import mossl
 
 PACKAGE = Path(mossl.__file__).parent
 CHECKED = ("tensor", "augmentation", "mssl")
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
 def exported(module: str) -> list[str]:
@@ -23,6 +26,16 @@ def exported(module: str) -> list[str]:
         ):
             return [elt.value for elt in node.value.elts]
     raise AssertionError(f"{module}.py has no __all__")
+
+
+def public_definitions(module: str) -> list[str]:
+    """Top-level functions and classes of a module whose names do not start with ``_``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
 
 
 def references(path: Path) -> set[tuple[str, str]]:
@@ -52,10 +65,19 @@ def references(path: Path) -> set[tuple[str, str]]:
     return found
 
 
+@cache
+def package_reads() -> frozenset[tuple[str, str]]:
+    """(module, name) pairs read anywhere in ``src/mossl``."""
+    return frozenset().union(*(references(path) for path in PACKAGE.rglob("*.py")))
+
+
 @pytest.mark.parametrize("module", CHECKED)
 def test_every_export_has_a_caller_in_the_package(module):
-    used = set()
-    for path in PACKAGE.rglob("*.py"):
-        used |= references(path)
-    unused = [name for name in exported(module) if (module, name) not in used]
+    unused = [name for name in exported(module) if (module, name) not in package_reads()]
     assert not unused, f"{module}.__all__ names with no caller in src/mossl: {unused}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_definition_has_a_caller_in_the_package(module):
+    unused = [name for name in public_definitions(module) if (module, name) not in package_reads()]
+    assert not unused, f"public names of {module}.py with no caller in src/mossl: {unused}"

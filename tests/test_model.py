@@ -77,11 +77,6 @@ class TestPredict:
         expected = hidden @ p.out_weight.data + p.out_bias.data
         assert np.max(np.abs(out.data - np.moveaxis(expected, -1, 1))) < 1e-12
 
-    def test_requires_single_surviving_step(self):
-        p = make_predictor(4, 1)
-        with pytest.raises(ConfigError, match="one step"):
-            predict(Tensor(np.zeros((1, 2, 3, 2, 4))), p)
-
 
 class TestForwardPass:
     def test_perfect_predictions_zero_forecast_loss(self):
