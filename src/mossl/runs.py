@@ -8,6 +8,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
+import struct
 import time
 from datetime import datetime
 from pathlib import Path
@@ -16,9 +18,10 @@ import numpy as np
 
 from .augmentation import uniforms_for_mask
 from .config import RunConfig
-from .container import save_tensor
+from .container import read_tensor, save_tensor, write_tensor
 from .data import (
     MoSTSeries,
+    NormStats,
     PreparedData,
     load_csv,
     load_descriptor,
@@ -31,19 +34,12 @@ from .gradcheck import GradCheckReport, grad_check
 from .model import AblationFlags, ModelDims, forward_pass, init_params
 from .rng import derive_rng
 from .tensor import no_grad
-from .training import (
-    Metrics,
-    TrainResult,
-    evaluate,
-    load_checkpoint,
-    model_dims,
-    restore_params,
-    save_checkpoint,
-    stats_from_manifest,
-    train,
-)
+from .training import Metrics, TrainResult, evaluate, model_dims, train
 
 logger = logging.getLogger("mossl")
+
+CHECKPOINT_MAGIC = b"MOSSLCKP"
+CHECKPOINT_VERSION = 1
 
 ABLATION_VARIANTS = {
     "full": {},
@@ -98,16 +94,6 @@ def new_run_dir(out_root: str | Path, name: str) -> Path:
     return run_dir
 
 
-def _checkpoint_manifest(cfg: RunConfig, result: TrainResult) -> dict:
-    return {
-        "config_hash": cfg.config_hash(),
-        "seed": result.seed,
-        "dims": dataclasses.asdict(result.dims),
-        "ablation": dataclasses.asdict(cfg.train.ablation),
-        "val_metrics": None if result.val_metrics is None else result.val_metrics.to_json_dict(),
-    }
-
-
 def run_training(
     cfg: RunConfig,
     out_root: str | Path,
@@ -121,12 +107,7 @@ def run_training(
     (run_dir / "config.json").write_text(cfg.raw_text or json.dumps(cfg.effective_dict(), indent=2))
     result = train(prepared, cfg.model, cfg.train, cfg.seed, quiet=quiet)
     (run_dir / "history.json").write_text(json.dumps(result.history, indent=2))
-    save_checkpoint(
-        run_dir / "checkpoint.mossl",
-        result.params,
-        prepared.stats,
-        _checkpoint_manifest(cfg, result),
-    )
+    save_checkpoint(run_dir / "checkpoint.mossl", cfg, result, prepared.stats)
     if prepared.splits["test"].count > 0:
         metrics = evaluate(result.params, cfg.model, prepared, "test")
         write_metrics(metrics, run_dir, "metrics-test")
@@ -140,26 +121,141 @@ def write_metrics(metrics: Metrics, out_dir: Path, stem: str) -> None:
     (out_dir / f"{stem}.json").write_text(json.dumps(metrics.to_json_dict(), indent=2))
 
 
-def load_run_params(cfg: RunConfig, checkpoint_path: str | Path, prepared: PreparedData):
-    """Restore parameters for evaluation, cross-checking config and data."""
-    manifest, arrays = load_checkpoint(checkpoint_path)
-    try:
-        flags = AblationFlags(**manifest.get("ablation", {}))
-    except TypeError as exc:
+def save_checkpoint(
+    path: str | Path, cfg: RunConfig, result: TrainResult, stats: NormStats
+) -> None:
+    """Single-file checkpoint: magic, u32 LE manifest length, JSON manifest, tensors.
+
+    The manifest lists each tensor's name and shape in payload order, the
+    normalization statistics, and what ties the parameters to their run:
+    config hash, seed, model dims, ablation flags and validation metrics.
+    """
+    named = result.params.named
+    manifest = {
+        "format_version": CHECKPOINT_VERSION,
+        "tensors": [{"name": name, "shape": list(p.shape)} for name, p in named.items()],
+        "norm_mean": [float(v) for v in stats.mean],
+        "norm_std": [float(v) for v in stats.std],
+        "config_hash": cfg.config_hash(),
+        "seed": result.seed,
+        "dims": dataclasses.asdict(result.dims),
+        "ablation": dataclasses.asdict(cfg.train.ablation),
+        "val_metrics": None if result.val_metrics is None else result.val_metrics.to_json_dict(),
+    }
+    blob = json.dumps(manifest, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for p in named.values():
+            write_tensor(fh, p.data)
+
+
+def _manifest_fields(manifest) -> tuple[AblationFlags, ModelDims, NormStats]:
+    """The flags, dims and statistics a manifest describes, after checking its JSON types."""
+    if not isinstance(manifest, dict):
+        raise CheckpointError("manifest is not a JSON object")
+    if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint {checkpoint_path}: manifest has no valid ablation flags"
-        ) from exc
-    try:
-        dims = ModelDims(**manifest["dims"])
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"checkpoint {checkpoint_path}: manifest has no valid dims") from exc
-    expected = model_dims(prepared)
-    if dims != expected:
-        raise CheckpointError(
-            f"checkpoint dimensions {manifest['dims']} do not match the configured dataset "
-            f"{dataclasses.asdict(expected)}"
+            f"format version {manifest.get('format_version')} "
+            f"is not supported (expected {CHECKPOINT_VERSION})"
         )
-    stats = stats_from_manifest(manifest)
+    required = ("tensors", "norm_mean", "norm_std", "dims", "ablation")
+    missing = [key for key in required if key not in manifest]
+    if missing:
+        raise CheckpointError(f"manifest lacks {missing}")
+    entries = manifest["tensors"]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and {"name", "shape"} <= e.keys() for e in entries
+    ):
+        raise CheckpointError("manifest tensors are not [{name, shape}]")
+    built = []
+    for key, cls, kind in (("ablation", AblationFlags, bool), ("dims", ModelDims, int)):
+        value = manifest[key]
+        names = sorted(f.name for f in dataclasses.fields(cls))
+        if not (
+            isinstance(value, dict)
+            and sorted(value) == names
+            and all(type(v) is kind for v in value.values())
+        ):
+            raise CheckpointError(
+                f"manifest {key} is not an object of {kind.__name__} fields {names}: {value!r}"
+            )
+        built.append(cls(**value))
+    flags, dims = built
+    for key in ("norm_mean", "norm_std"):
+        values = manifest[key]
+        if not (
+            isinstance(values, list)
+            and len(values) == dims.modalities
+            and all(type(v) in (int, float) and math.isfinite(v) for v in values)
+        ):
+            raise CheckpointError(
+                f"manifest {key} is not a list of {dims.modalities} finite numbers: {values!r}"
+            )
+    stats = NormStats(
+        mean=np.array(manifest["norm_mean"], dtype=np.float64),
+        std=np.array(manifest["norm_std"], dtype=np.float64),
+    )
+    return flags, dims, stats
+
+
+def load_run_params(cfg: RunConfig, checkpoint_path: str | Path, prepared: PreparedData):
+    """Restore parameters for evaluation, cross-checking config and data.
+
+    A file that is missing, cut short, malformed or made for other dims or
+    parameters raises ``CheckpointError`` naming it; statistics that differ
+    from the configured dataset's raise ``DataError``.
+    """
+    try:
+        with open(checkpoint_path, "rb") as fh:
+            magic = fh.read(len(CHECKPOINT_MAGIC))
+            if magic != CHECKPOINT_MAGIC:
+                raise CheckpointError(f"not a checkpoint file: bad magic {magic!r}")
+            raw = fh.read(4)
+            if len(raw) != 4:
+                raise CheckpointError("truncated before its manifest")
+            (length,) = struct.unpack("<I", raw)
+            try:
+                manifest = json.loads(fh.read(length).decode())
+            except ValueError as exc:  # a cut or corrupt manifest: bad UTF-8 or JSON
+                raise CheckpointError(f"manifest is not valid JSON: {exc}") from exc
+            flags, dims, stats = _manifest_fields(manifest)
+            arrays = {}
+            for entry in manifest["tensors"]:
+                arr = read_tensor(fh)
+                if list(arr.shape) != entry["shape"]:
+                    raise CheckpointError(
+                        f"tensor {entry['name']} has shape {list(arr.shape)}, "
+                        f"manifest says {entry['shape']}"
+                    )
+                arrays[entry["name"]] = arr
+        expected = model_dims(prepared)
+        if dims != expected:
+            raise CheckpointError(
+                f"dimensions {manifest['dims']} do not match the configured dataset "
+                f"{dataclasses.asdict(expected)}"
+            )
+        params = init_params(cfg.model, dims, flags, seed=0)
+        missing = [n for n in params.named if n not in arrays]
+        extra = [n for n in arrays if n not in params.named]
+        if missing or extra:
+            raise CheckpointError(
+                f"does not match the configuration: missing {missing}, unexpected {extra}"
+            )
+        for name, tensor in params.named.items():
+            if arrays[name].shape != tensor.data.shape:
+                raise CheckpointError(
+                    f"tensor {name}: checkpoint shape {arrays[name].shape} "
+                    f"does not match configured shape {tensor.data.shape}"
+                )
+            tensor.data[...] = arrays[name]
+    except OSError as exc:
+        raise CheckpointError(
+            f"checkpoint {checkpoint_path}: cannot be read: {exc.strerror}"
+        ) from exc
+    except CheckpointError as exc:
+        raise CheckpointError(f"checkpoint {checkpoint_path}: {exc}") from exc
     if not (
         np.array_equal(stats.mean, prepared.stats.mean)
         and np.array_equal(stats.std, prepared.stats.std)
@@ -168,7 +264,6 @@ def load_run_params(cfg: RunConfig, checkpoint_path: str | Path, prepared: Prepa
             "normalization statistics derived from the configured dataset differ from "
             "the checkpoint; the underlying data has changed since training"
         )
-    params = restore_params(arrays, cfg.model, dims, flags)
     return params, manifest, flags
 
 
@@ -231,7 +326,7 @@ def export_representations(
 ) -> dict:
     """Dump per-window representations and mixture state as tensor containers."""
     prepared = prepared_from_config(cfg)
-    params, manifest, flags = load_run_params(cfg, checkpoint_path, prepared)
+    params, _, flags = load_run_params(cfg, checkpoint_path, prepared)
     ws = prepared.splits[split]
     if ws.count == 0:
         raise DataError(f"split '{split}' has no windows")

@@ -1,21 +1,18 @@
-"""Optimizer, training/evaluation loops, metrics, and checkpoint files."""
+"""Optimizer, training/evaluation loops, and metrics."""
 
 from __future__ import annotations
 
 import json
 import logging
 import math
-import struct
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .container import read_tensor, write_tensor
-from .data import NormStats, PreparedData
+from .data import PreparedData
 from .encoder import EncoderStream, consecutive
-from .errors import CheckpointError, ConfigError, DataError, require_at_least_one
+from .errors import ConfigError, DataError, require_at_least_one
 from .model import (
     AblationFlags,
     LossWeights,
@@ -29,9 +26,6 @@ from .rng import derive_rng
 from .tensor import Tensor, gradients, no_grad
 
 logger = logging.getLogger("mossl")
-
-CHECKPOINT_MAGIC = b"MOSSLCKP"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -101,12 +95,6 @@ class MetricRow:
 @dataclass
 class Metrics:
     rows: list[MetricRow]
-
-    def lookup(self, modality: str, horizon: int) -> MetricRow:
-        for row in self.rows:
-            if row.modality == modality and row.horizon == horizon:
-                return row
-        raise KeyError((modality, horizon))
 
     @property
     def mean_mae(self) -> float:
@@ -331,110 +319,3 @@ def train(
         for name, p in params.named.items():
             p.data[...] = best_data[name]
     return TrainResult(params=params, history=history, dims=dims, val_metrics=val_metrics, seed=seed)
-
-
-# -- checkpointing ---------------------------------------------------------------
-
-
-def save_checkpoint(
-    path: str | Path,
-    params: ModelParams,
-    stats: NormStats,
-    manifest_extra: dict | None = None,
-) -> None:
-    """Single-file checkpoint: JSON manifest followed by tensor payloads."""
-    names = list(params.named)
-    manifest = {
-        "format_version": CHECKPOINT_VERSION,
-        "tensors": [{"name": n, "shape": list(params.named[n].shape)} for n in names],
-        "norm_mean": [float(v) for v in stats.mean],
-        "norm_std": [float(v) for v in stats.std],
-    }
-    if manifest_extra:
-        manifest.update(manifest_extra)
-    blob = json.dumps(manifest, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name in names:
-            write_tensor(fh, params.named[name].data)
-
-
-def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read back (manifest, named arrays); strict about magic and version.
-
-    A file that is missing, cut short or malformed raises ``CheckpointError``.
-    """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
-    with fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"not a checkpoint file: bad magic {magic!r}")
-        raw = fh.read(4)
-        if len(raw) != 4:
-            raise CheckpointError(f"checkpoint {path} is truncated before its manifest")
-        (length,) = struct.unpack("<I", raw)
-        try:
-            manifest = json.loads(fh.read(length).decode())
-        except ValueError as exc:  # a cut or corrupt manifest: bad UTF-8 or JSON
-            raise CheckpointError(f"checkpoint {path}: manifest is not valid JSON: {exc}") from exc
-        if not isinstance(manifest, dict):
-            raise CheckpointError(f"checkpoint {path}: manifest is not a JSON object")
-        if manifest.get("format_version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint format version {manifest.get('format_version')} "
-                f"is not supported (expected {CHECKPOINT_VERSION})"
-            )
-        missing = [key for key in ("tensors", "norm_mean", "norm_std") if key not in manifest]
-        if missing:
-            raise CheckpointError(f"checkpoint {path}: manifest lacks {missing}")
-        entries = manifest["tensors"]
-        if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and {"name", "shape"} <= e.keys() for e in entries
-        ):
-            raise CheckpointError(f"checkpoint {path}: manifest tensors are not [{{name, shape}}]")
-        arrays = {}
-        for entry in entries:
-            arr = read_tensor(fh)
-            if list(arr.shape) != entry["shape"]:
-                raise CheckpointError(
-                    f"tensor {entry['name']} has shape {list(arr.shape)}, "
-                    f"manifest says {entry['shape']}"
-                )
-            arrays[entry["name"]] = arr
-    return manifest, arrays
-
-
-def restore_params(
-    arrays: dict[str, np.ndarray],
-    model_cfg: ModelConfig,
-    dims: ModelDims,
-    flags: AblationFlags,
-) -> ModelParams:
-    """Rebuild a parameter set from checkpoint arrays, validating names and shapes."""
-    template = init_params(model_cfg, dims, flags, seed=0)
-    missing = [n for n in template.named if n not in arrays]
-    extra = [n for n in arrays if n not in template.named]
-    if missing or extra:
-        raise CheckpointError(
-            f"checkpoint does not match the configuration: missing {missing}, unexpected {extra}"
-        )
-    for name, tensor in template.named.items():
-        if arrays[name].shape != tensor.data.shape:
-            raise CheckpointError(
-                f"tensor {name}: checkpoint shape {arrays[name].shape} "
-                f"does not match configured shape {tensor.data.shape}"
-            )
-        tensor.data[...] = arrays[name]
-    return template
-
-
-def stats_from_manifest(manifest: dict) -> NormStats:
-    return NormStats(
-        mean=np.array(manifest["norm_mean"], dtype=np.float64),
-        std=np.array(manifest["norm_std"], dtype=np.float64),
-    )

@@ -270,6 +270,11 @@ CHECKPOINT_DAMAGE = {
     "manifest-ablation-not-object": _manifest_with("ablation", 5),
     "manifest-tensors-not-list": _manifest_with("tensors", 5),
     "missing-file": None,
+    "cut-in-payload": lambda blob: blob[:-5],
+    "manifest-norm_mean-not-numbers": _manifest_with("norm_mean", "x"),
+    "manifest-ablation-not-bool": _manifest_edit(lambda m: m["ablation"].update(no_mssl="no")),
+    "manifest-shape-disagrees": _manifest_edit(lambda m: m["tensors"][0].update(shape=[1])),
+    "manifest-dims-not-ints": _manifest_edit(lambda m: m["dims"].update(nodes=3.0)),
 }
 
 
@@ -386,8 +391,17 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
-    def test_missing_config_file(self, tmp_path, capsys):
-        assert run(["train", "--config", tmp_path / "nope.json", "--quiet"]) == 1
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+    def test_missing_config_file(self, tmp_path, capsys, case):
+        path = tmp_path / "config.json"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not-utf8":
+            path.write_bytes(b'{"name": "\xff"}')
+        assert run(["train", "--config", path, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err
 
     def test_data_gap_is_data_error(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"

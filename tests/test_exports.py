@@ -1,8 +1,8 @@
 """Every export of the package's modules has a caller in the package.
 
-A name in ``__all__``, or a public top-level function or class, that nothing
-in ``src/mossl`` uses is a second path kept alive only by its tests; delete
-it instead.
+A name in ``__all__``, a public top-level function or class, or a public
+method or property of a class, that nothing in ``src/mossl`` uses is a
+second path kept alive only by its tests; delete it instead.
 """
 
 import ast
@@ -35,6 +35,18 @@ def public_definitions(module: str) -> list[str]:
         node.name
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def public_methods(module: str) -> list[str]:
+    """``Class.name`` of each public method or property of a module's top-level classes."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return [
+        f"{cls.name}.{node.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
 
 
@@ -71,6 +83,17 @@ def package_reads() -> frozenset[tuple[str, str]]:
     return frozenset().union(*(references(path) for path in PACKAGE.rglob("*.py")))
 
 
+@cache
+def attribute_reads() -> frozenset[str]:
+    """Names read as an attribute, ``x.name``, anywhere in ``src/mossl``."""
+    return frozenset(
+        node.attr
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
 @pytest.mark.parametrize("module", CHECKED)
 def test_every_export_has_a_caller_in_the_package(module):
     unused = [name for name in exported(module) if (module, name) not in package_reads()]
@@ -81,3 +104,11 @@ def test_every_export_has_a_caller_in_the_package(module):
 def test_every_public_definition_has_a_caller_in_the_package(module):
     unused = [name for name in public_definitions(module) if (module, name) not in package_reads()]
     assert not unused, f"public names of {module}.py with no caller in src/mossl: {unused}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_method_is_read_in_the_package(module):
+    unused = [
+        name for name in public_methods(module) if name.split(".")[1] not in attribute_reads()
+    ]
+    assert not unused, f"public methods of {module}.py never read in src/mossl: {unused}"

@@ -7,7 +7,8 @@ import pytest
 
 from mossl import tensor, training
 from mossl.data import SplitSpec, SynthSpec, prepare_windows, synth_generate
-from mossl.errors import CheckpointError
+from mossl.config import RunConfig
+from mossl.errors import CheckpointError, DataError
 from mossl.model import AblationFlags, LossWeights, ModelConfig, ModelDims, init_params
 from mossl.tensor import Tensor
 from mossl.training import (
@@ -17,14 +18,11 @@ from mossl.training import (
     adam_step,
     compute_metrics,
     evaluate,
-    load_checkpoint,
     persistence_metrics,
-    restore_params,
-    save_checkpoint,
     split_predictions,
-    stats_from_manifest,
     train,
 )
+from mossl.runs import load_run_params, save_checkpoint
 
 
 def rng(seed=0):
@@ -79,7 +77,8 @@ class TestMetrics:
         pred = np.array([1.0, 2.0]).reshape(2, 1, 1, 1)
         truth = np.zeros((2, 1, 1, 1))
         m = compute_metrics(pred, truth, ["a"])
-        row = m.lookup("a", 1)
+        (row,) = m.rows
+        assert (row.modality, row.horizon) == ("a", 1)
         assert row.mae == pytest.approx(1.5)
         assert row.rmse == pytest.approx(np.sqrt(2.5))
 
@@ -199,9 +198,10 @@ class TestEvaluate:
         assert np.max(np.abs(predictions - expected)) < 1e-12
         metrics = evaluate(params, TINY_MODEL, prepared, "test")
         truth = prepared.stats.invert(prepared.splits["test"].y)
-        for mi, name in enumerate(prepared.modality_names):
+        for mi, (name, row) in enumerate(zip(prepared.modality_names, metrics.rows, strict=True)):
+            assert (row.modality, row.horizon) == (name, 1)
             expected_mae = np.mean(np.abs(truth[:, 0, :, mi] - prepared.stats.mean[mi]))
-            assert metrics.lookup(name, 1).mae == pytest.approx(expected_mae, rel=1e-12)
+            assert row.mae == pytest.approx(expected_mae, rel=1e-12)
 
     def test_evaluation_records_no_tape(self, monkeypatch):
         prepared = tiny_prepared()
@@ -233,52 +233,60 @@ class TestEvaluate:
         ws = prepared.splits["test"]
         truth = prepared.stats.invert(ws.y)
         last = prepared.stats.invert(ws.x[:, -1])
-        for mi, name in enumerate(prepared.modality_names):
+        for mi, (name, row) in enumerate(zip(prepared.modality_names, metrics.rows, strict=True)):
+            assert (row.modality, row.horizon) == (name, 1)
             err = last[:, :, mi] - truth[:, 0, :, mi]
-            assert metrics.lookup(name, 1).rmse == pytest.approx(
+            assert row.rmse == pytest.approx(
                 float(np.sqrt(np.mean(err**2))), rel=1e-12
             )
 
 
+def tiny_run(tmp_path, seed):
+    """A tiny run's config, data, training result, and the checkpoint path to save it to."""
+    cfg = RunConfig(model=TINY_MODEL, train=tiny_train_cfg(epochs=1))
+    prepared = tiny_prepared()
+    result = train(prepared, cfg.model, cfg.train, seed=seed, quiet=True)
+    return cfg, prepared, result, tmp_path / "ckpt.mossl"
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
-        prepared = tiny_prepared()
-        result = train(prepared, TINY_MODEL, tiny_train_cfg(epochs=1), seed=8, quiet=True)
-        path = tmp_path / "ckpt.mossl"
-        save_checkpoint(path, result.params, prepared.stats, {"dims": {"nodes": 3}})
-        manifest, arrays = load_checkpoint(path)
-        assert manifest["dims"] == {"nodes": 3}
-        assert set(arrays) == set(result.params.named)
-        for name, arr in arrays.items():
-            assert np.array_equal(arr, result.params.named[name].data), name
-        stats = stats_from_manifest(manifest)
-        assert np.array_equal(stats.mean, prepared.stats.mean)
-        assert np.array_equal(stats.std, prepared.stats.std)
+        cfg, prepared, result, path = tiny_run(tmp_path, seed=8)
+        save_checkpoint(path, cfg, result, prepared.stats)
+        params, manifest, flags = load_run_params(cfg, path, prepared)
+        dims = {"input_steps": 4, "output_steps": 1, "nodes": 3, "modalities": 2}
+        assert manifest["dims"] == dims
+        assert manifest["seed"] == 8 and flags == cfg.train.ablation
+        assert set(params.named) == set(result.params.named)
+        for name, p in params.named.items():
+            assert np.array_equal(p.data, result.params.named[name].data), name
+        assert np.array_equal(manifest["norm_mean"], prepared.stats.mean)
+        assert np.array_equal(manifest["norm_std"], prepared.stats.std)
+        # statistics one ulp away are data that changed since training
+        prepared.stats.std = np.nextafter(prepared.stats.std, np.inf)
+        with pytest.raises(DataError, match="normalization statistics"):
+            load_run_params(cfg, path, prepared)
 
     def test_restore_rejects_missing_parameter(self, tmp_path):
-        dims = ModelDims(4, 1, 3, 2)
-        params = init_params(TINY_MODEL, dims, AblationFlags(), seed=9)
-        arrays = {n: p.data for n, p in params.named.items()}
-        arrays.pop("fusion.pair_matrix")
-        with pytest.raises(CheckpointError, match="fusion.pair_matrix"):
-            restore_params(arrays, TINY_MODEL, dims, AblationFlags())
+        cfg, prepared, result, path = tiny_run(tmp_path, seed=9)
+        result.params.named.pop("fusion.pair_matrix")
+        save_checkpoint(path, cfg, result, prepared.stats)
+        with pytest.raises(CheckpointError, match="fusion.pair_matrix") as err:
+            load_run_params(cfg, path, prepared)
+        assert str(path) in str(err.value)
 
-    def test_restore_rejects_shape_mismatch(self):
-        dims = ModelDims(4, 1, 3, 2)
-        params = init_params(TINY_MODEL, dims, AblationFlags(), seed=10)
-        arrays = {n: p.data.copy() for n, p in params.named.items()}
-        arrays["predictor.out.bias"] = np.zeros(7)
-        with pytest.raises(CheckpointError, match="predictor.out.bias"):
-            restore_params(arrays, TINY_MODEL, dims, AblationFlags())
+    def test_restore_rejects_shape_mismatch(self, tmp_path):
+        cfg, prepared, result, path = tiny_run(tmp_path, seed=10)
+        result.params.named["predictor.out.bias"] = Tensor(np.zeros(7))
+        save_checkpoint(path, cfg, result, prepared.stats)
+        with pytest.raises(CheckpointError, match="predictor.out.bias") as err:
+            load_run_params(cfg, path, prepared)
+        assert str(path) in str(err.value)
 
     def test_restored_params_evaluate_identically(self, tmp_path):
-        prepared = tiny_prepared()
-        result = train(prepared, TINY_MODEL, tiny_train_cfg(epochs=1), seed=11, quiet=True)
-        path = tmp_path / "ckpt.mossl"
-        save_checkpoint(path, result.params, prepared.stats, {})
-        _, arrays = load_checkpoint(path)
-        dims = ModelDims(4, 1, 3, 2)
-        restored = restore_params(arrays, TINY_MODEL, dims, AblationFlags())
+        cfg, prepared, result, path = tiny_run(tmp_path, seed=11)
+        save_checkpoint(path, cfg, result, prepared.stats)
+        restored, _, _ = load_run_params(cfg, path, prepared)
         before = evaluate(result.params, TINY_MODEL, prepared, "val")
         after = evaluate(restored, TINY_MODEL, prepared, "val")
         assert before == after
