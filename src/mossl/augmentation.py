@@ -16,16 +16,6 @@ import numpy as np
 
 from .tensor import Tensor, broadcast_to, clip, concat, reshape, softmax
 
-__all__ = [
-    "EmbeddingParams",
-    "modality_relevance",
-    "input_mask_probability",
-    "mask_from_uniforms",
-    "uniforms_for_mask",
-    "keep_factor",
-    "build_augmented_input",
-]
-
 
 @dataclass
 class EmbeddingParams:

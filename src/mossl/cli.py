@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import RunConfig, load_config
 from .data import save_csv, save_prepared
-from .errors import MosslError
+from .errors import ConfigError, MosslError
 from .gradcheck import PASS_THRESHOLD
 from .runs import (
     export_representations,
@@ -32,15 +32,21 @@ from .training import evaluate, persistence_metrics
 logger = logging.getLogger("mossl")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are ``ConfigError``s: one ``error:`` line and exit 1, like every failure."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="path to the JSON run configuration")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--out", default=None, help="output directory (default: $MOSSL_RUN_DIR or ./runs)")
     sub.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mossl",
         description="Multi-modality spatio-temporal forecasting with self-supervision",
     )
@@ -55,6 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     ablate = commands.add_parser("ablate", help="train the full model and all four variants")
     for sub in (synth, train, prepare, evaluate_cmd, gradcheck, export, ablate):
         _add_common(sub)
+    for sub in (synth, train, prepare, export, ablate):
+        sub.add_argument("--out", help="output directory (default: $MOSSL_RUN_DIR or ./runs)")
+    evaluate_cmd.add_argument(
+        "--out", help="directory for the metrics files (default: the checkpoint's directory)"
+    )
     for sub in (evaluate_cmd, export):
         sub.add_argument("--checkpoint", required=True, help="path to a checkpoint file")
         sub.add_argument("--split", default="test", choices=["train", "val", "test"])
@@ -163,12 +174,11 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO, format="%(message)s"
-    )
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.WARNING if args.quiet else logging.INFO, format="%(message)s"
+        )
         return _HANDLERS[args.command](args)
     except MosslError as exc:
         print(f"error: {exc}", file=sys.stderr)

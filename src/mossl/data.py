@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import load_tensor, save_tensor
-from .errors import CheckpointError, ConfigError, DataError
+from .errors import CheckpointError, ConfigError, DataError, require_non_negative
 from .rng import derive_rng
 
 STD_FLOOR = 1e-8
@@ -174,8 +174,6 @@ class PreparedData:
     splits: dict[str, WindowSet]
     node_ids: list[str]
     modality_names: list[str]
-    input_steps: int
-    output_steps: int
 
 
 def prepare_windows(
@@ -197,8 +195,6 @@ def prepare_windows(
         splits=splits,
         node_ids=list(series.node_ids),
         modality_names=list(series.modality_names),
-        input_steps=input_steps,
-        output_steps=output_steps,
     )
 
 
@@ -264,8 +260,17 @@ def load_csv(path: str | Path, descriptor: dict | None = None) -> MoSTSeries:
 
 
 def load_descriptor(path: str | Path) -> dict:
-    """The JSON object of a dataset descriptor: axis order and counts for ``load_csv``."""
-    return _load_json_object(Path(path), "descriptor")
+    """The JSON object of a dataset descriptor: axis order and counts for ``load_csv``.
+
+    ``nodes`` and ``modalities``, when given, are a count (an integer) or the
+    axis order (a list of names).
+    """
+    descriptor = _load_json_object(Path(path), "descriptor")
+    for key in ("nodes", "modalities"):
+        declared = descriptor.get(key)
+        if isinstance(declared, bool) or not isinstance(declared, (int, list, type(None))):
+            raise DataError(f"descriptor {path}: {key} must be a count or a list, got {declared!r}")
+    return descriptor
 
 
 def _load_json_object(path: Path, what: str) -> dict:
@@ -373,6 +378,7 @@ class SynthSpec:
     def __post_init__(self):
         if min(self.nodes, self.modalities, self.steps, self.regimes) < 1:
             raise ConfigError("synthetic spec extents must be positive")
+        require_non_negative(self, "noise")
         if not self.coupling:
             self.coupling = [np.eye(self.modalities).tolist()] * self.regimes
         matrices = np.asarray(self.coupling, dtype=np.float64)

@@ -1,5 +1,7 @@
 """Exception types shared across the package, with CLI exit-code mapping."""
 
+import math
+
 
 class MosslError(Exception):
     """Base class; ``exit_code`` drives the CLI process status."""
@@ -45,3 +47,15 @@ def require_at_least_one(obj, *names: str) -> None:
         value = getattr(obj, name)
         if value < 1:
             raise ConfigError(f"{name} must be at least 1, got {value}")
+
+
+def require_non_negative(obj, *names: str) -> None:
+    """Reject the first named number field of ``obj`` that is negative, NaN or infinite.
+
+    Zero stays legal: it switches a loss term or the mask off, or freezes the
+    parameters, a control run.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if not 0.0 <= value < math.inf:
+            raise ConfigError(f"{name} must be non-negative and finite, got {value}")

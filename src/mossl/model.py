@@ -5,7 +5,7 @@ the forecasting head, and the joint objective with ablation switches.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from . import augmentation as aug
 from . import encoder as enc
 from . import gssl as gssl_mod
 from . import mssl as mssl_mod
-from .errors import ConfigError, NumericalError, require_at_least_one
+from .errors import ConfigError, NumericalError, require_at_least_one, require_non_negative
 from .parallel import run_shards
 from .rng import derive_rng
 from .tensor import Tensor, linear, parameter, relu, reshape, shard_mean, stop_gradient
@@ -48,6 +48,7 @@ class ModelConfig:
 
     def __post_init__(self):
         require_at_least_one(self, "hidden", "layers", "kernel_size", "mixture_components")
+        require_non_negative(self, "mask_scale")
         if len(self.dilations) != self.layers:
             raise ConfigError(
                 f"dilation schedule {self.dilations} does not cover {self.layers} layers"
@@ -128,6 +129,9 @@ class LossWeights:
     forecast: float = 1.0
     mixture: float = 1.0
     contrast: float = 1.0
+
+    def __post_init__(self):
+        require_non_negative(self, *(f.name for f in fields(self)))
 
     def __getitem__(self, key: str) -> float:
         return getattr(self, key)

@@ -14,8 +14,6 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import Tensor, log_sigmoid, reshape, sigmoid
 
-__all__ = ["FusionParams", "fuse", "modality_context", "mssl_loss"]
-
 
 @dataclass
 class FusionParams:

@@ -41,12 +41,10 @@ logger = logging.getLogger("mossl")
 CHECKPOINT_MAGIC = b"MOSSLCKP"
 CHECKPOINT_VERSION = 1
 
+# the full model, then one variant per switched-off part (w/o AV, MG, GSSL, MSSL)
 ABLATION_VARIANTS = {
-    "full": {},
-    "no_av": {"no_av": True},
-    "no_mg": {"no_mg": True},
-    "no_gssl": {"no_gssl": True},
-    "no_mssl": {"no_mssl": True},
+    "full": AblationFlags(),
+    **{f.name: AblationFlags(**{f.name: True}) for f in dataclasses.fields(AblationFlags)},
 }
 
 
@@ -374,11 +372,9 @@ def run_ablation(cfg: RunConfig, out_root: str | Path, quiet: bool = False) -> P
     prepared = prepared_from_config(cfg)
     root = new_run_dir(out_root, f"{cfg.name}-ablate")
     rows = []
-    for variant, flag_patch in ABLATION_VARIANTS.items():
+    for variant, flags in ABLATION_VARIANTS.items():
         variant_cfg = dataclasses.replace(cfg)
-        variant_cfg.train = dataclasses.replace(
-            cfg.train, ablation=AblationFlags(**flag_patch)
-        )
+        variant_cfg.train = dataclasses.replace(cfg.train, ablation=flags)
         variant_cfg.name = variant
         # persist the effective flags, not the base config's verbatim text,
         # so a variant run directory reproduces the variant

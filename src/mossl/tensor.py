@@ -17,30 +17,6 @@ import numpy as np
 from .errors import ConfigError, DomainError, ShapeError
 from .parallel import run_shards
 
-__all__ = [
-    "Tensor",
-    "parameter",
-    "no_grad",
-    "backward",
-    "gradients",
-    "shard_mean",
-    "concat",
-    "broadcast_to",
-    "softmax",
-    "logsumexp",
-    "dilated_causal_conv",
-    "linear",
-    "attention",
-    "gated_tanh",
-    "relu",
-    "sigmoid",
-    "exp",
-    "log",
-    "log_sigmoid",
-    "clip",
-    "stop_gradient",
-]
-
 
 class Tensor:
     """A dense float64 array that may participate in a gradient graph."""

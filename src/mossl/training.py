@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .data import PreparedData
 from .encoder import EncoderStream, consecutive
-from .errors import ConfigError, DataError, require_at_least_one
+from .errors import DataError, require_at_least_one, require_non_negative
 from .model import (
     AblationFlags,
     LossWeights,
@@ -41,11 +40,7 @@ class TrainConfig:
         require_at_least_one(self, "epochs", "batch_size")
         if self.early_stop_patience is not None:
             require_at_least_one(self, "early_stop_patience")
-        # zero is allowed: it freezes the parameters, a control run
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ConfigError(
-                f"learning_rate must be non-negative and finite, got {self.learning_rate}"
-            )
+        require_non_negative(self, "learning_rate")
 
 
 # -- Adam ---------------------------------------------------------------------
@@ -105,10 +100,7 @@ class Metrics:
         return float(np.mean([r.rmse for r in self.rows]))
 
     def to_json_dict(self) -> list[dict]:
-        return [
-            {"modality": r.modality, "horizon": r.horizon, "mae": r.mae, "rmse": r.rmse}
-            for r in self.rows
-        ]
+        return [asdict(r) for r in self.rows]
 
     def to_csv_text(self) -> str:
         lines = ["modality,horizon,mae,rmse"]
@@ -214,13 +206,10 @@ def window_mask_uniforms(seed: int, epoch: int, window_index: int, shape) -> np.
 
 
 def model_dims(prepared: PreparedData) -> ModelDims:
-    """Model extents implied by a prepared dataset."""
-    return ModelDims(
-        input_steps=prepared.input_steps,
-        output_steps=prepared.output_steps,
-        nodes=len(prepared.node_ids),
-        modalities=len(prepared.modality_names),
-    )
+    """Model extents implied by a prepared dataset's train windows."""
+    train = prepared.splits["train"]
+    input_steps, nodes, modalities = train.x.shape[1:]
+    return ModelDims(input_steps, train.y.shape[1], nodes, modalities)
 
 
 @dataclass

@@ -299,6 +299,10 @@ def data_case(tmp_path, case) -> tuple[dict, str]:
     elif case == "invalid-descriptor":
         data["descriptor"] = str(tmp_path / "descriptor.json")
         (tmp_path / "descriptor.json").write_text("{nodes: 3")
+    elif case.startswith("descriptor-nodes-"):  # a count must be an int, an order a list
+        data["descriptor"] = str(tmp_path / "descriptor.json")
+        nodes = True if case == "descriptor-nodes-true" else 3.5
+        (tmp_path / "descriptor.json").write_text(json.dumps({"nodes": nodes, "modalities": ["x"]}))
     elif case == "prepared-without-values":
         (tmp_path / "prepared").mkdir()
         (tmp_path / "prepared" / "meta.json").write_text("{}")
@@ -332,6 +336,8 @@ class TestErrors:
             "missing-csv",
             "missing-descriptor",
             "invalid-descriptor",
+            "descriptor-nodes-not-list",
+            "descriptor-nodes-true",
             "prepared-without-values",
             "prepared-cut-meta",
             "prepared-cut-values",
@@ -345,6 +351,28 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert named in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["train"],
+            ["bogus", "--config", "c.json"],
+            ["train", "--config", "c.json", "--seed", "abc"],
+            ["gradcheck", "--config", "c.json", "--out", "o"],
+        ],
+        ids=["missing-config", "unknown-command", "seed-not-int", "gradcheck-out"],
+    )
+    def test_usage_error_is_one_error_line(self, capsys, args):
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: mossl") and captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", "--help"])
+        assert exc.value.code == 0
+        assert "default: the checkpoint's directory" in " ".join(capsys.readouterr().out.split())
 
     def test_non_finite_csv_value_is_data_error(self, tmp_path, capsys):
         csv_path = tmp_path / "nan.csv"

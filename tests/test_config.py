@@ -1,6 +1,7 @@
 """The config schema derived from the dataclasses: parsing, key checks, hashing."""
 
 import json
+import math
 import re
 
 import pytest
@@ -146,14 +147,28 @@ class TestCoercion:
             ("train", {"learning_rate": -0.01}, "train: learning_rate must be non-negative"),
             ("data", {"split": [0.7, 0.1, 0.1]}, "data.split: split fractions must sum to 1"),
             ("data", {"split": [1.2, -0.1, -0.1]}, "data.split: split fractions must be non-negative"),
+            ("model", {"mask_scale": -1.0}, "model: mask_scale must be non-negative and finite"),
+            ("model", {"mask_scale": math.nan}, "model: mask_scale must be non-negative and finite"),
+            ("model", {"mask_scale": math.inf}, "model: mask_scale must be non-negative and finite"),
+            ("train.loss_weights", {"forecast": -1.0}, "train.loss_weights: forecast must be non-"),
+            ("train.loss_weights", {"mixture": math.nan}, "train.loss_weights: mixture must be non-"),
+            ("train.loss_weights", {"contrast": math.inf}, "train.loss_weights: contrast must be non-"),
+            ("data.synthetic", {"noise": -0.5}, "data.synthetic: noise must be non-negative and"),
+            ("data.synthetic", {"noise": math.nan}, "data.synthetic: noise must be non-negative and"),
+            ("train", {"learning_rate": math.nan}, "train: learning_rate must be non-negative"),
         ],
         ids=["hidden", "layers", "kernel_size", "mixture_components", "batch_size", "epochs",
              "output_steps", "input_steps", "stride", "early_stop_patience", "learning_rate",
-             "split_sum", "split_negative"],
+             "split_sum", "split_negative", "mask_scale_negative", "mask_scale_nan",
+             "mask_scale_inf", "forecast_weight_negative", "mixture_weight_nan",
+             "contrast_weight_inf", "noise_negative", "noise_nan", "learning_rate_nan"],
     )
     def test_out_of_range_names_the_key(self, section, patch, named):
         doc = tiny_config()
-        doc[section].update(patch)
+        target = doc
+        for key in section.split("."):
+            target = target[key]
+        target.update(patch)
         with pytest.raises(ConfigError, match="^" + re.escape(named)):
             parse(doc)
 

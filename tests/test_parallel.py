@@ -74,11 +74,21 @@ def test_sharded_loss_and_gradients_match_batched(case, monkeypatch):
         assert sharded.mask is None
     else:
         assert np.array_equal(sharded.mask, batched.mask)
+    # the sharded path joins the mixture state (gamma, mu, sigma2) by hand; no_mg has none
+    assert (batched.mixture is None) == (case == "small-no_mg")
+    assert (sharded.mixture is None) == (batched.mixture is None)
+    pairs = [
+        (getattr(sharded.mixture, f), getattr(batched.mixture, f))
+        for f in ("gamma", "mu", "sigma2")
+        if batched.mixture is not None
+    ]
     for field in ("predictions", "h", "h_second", "augmented_input"):
         got, ref = getattr(sharded, field), getattr(batched, field)
         if ref is None:
             assert got is None
             continue
+        pairs.append((got, ref))
+    for got, ref in pairs:
         assert got.shape == ref.shape
         assert np.max(np.abs(got.data - ref.data)) <= 1e-12 * max(np.max(np.abs(ref.data)), 1e-300)
 
