@@ -294,7 +294,6 @@ class ForwardResult:
     h_second: Tensor | None = None
     mixture: gssl_mod.MixtureState | None = None
     mask: np.ndarray | None = None
-    augmented_input: Tensor | None = None
 
 
 # Per-window layer-0 activation (T*N*M*hidden float64s) from which a batch
@@ -379,7 +378,6 @@ def _forward_batch(
             result.mask = aug.mask_from_uniforms(prob, mask_uniforms)
             keep = aug.keep_factor(prob, result.mask, model_cfg.straight_through_mask)
             x_aug = aug.build_augmented_input(x_t, keep, params.embedding)
-            result.augmented_input = x_aug
             h_second = enc.encode(x_aug, params.aug_input_proj, params.encoder.layers, model_cfg)
         elif flags.unshared_view:
             h_second = enc.encode(
@@ -451,7 +449,6 @@ def _forward_sharded(
         predictions=joined([s.predictions for s in shards]),
         h=joined([s.h for s in shards]),
         h_second=joined([s.h_second for s in shards]),
-        augmented_input=joined([s.augmented_input for s in shards]),
     )
     if first.mask is not None:
         result.mask = np.concatenate([s.mask for s in shards])

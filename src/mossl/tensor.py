@@ -4,6 +4,16 @@ The operation set is deliberately closed: exactly what the forecasting model
 needs, nothing more.  All arrays are 64-bit so finite-difference checks are
 trustworthy.  Tensors are immutable once produced by an operation; gradients
 accumulate on leaves during :func:`backward`.
+
+The tape is made of ``_Node``s, apart from the tensors: a node holds its
+gradient, its parents' nodes and its backward closure, and a ``Tensor``
+holds its array and its node.  A closure keeps only the arrays its formula
+reads (an operand, the op's own output, or a mask or probability matrix it
+formed) plus the parents' nodes to add gradients into; it never keeps a
+tensor.  ``add``, ``sub``, ``concat``, ``reshape``, ``transpose``, ``take``,
+``broadcast_to`` and the reductions keep shapes only.  An activation that no
+backward formula reads, such as an attention output consumed by ``concat``,
+is therefore freed as soon as the caller drops its tensor.
 """
 
 from __future__ import annotations
@@ -18,17 +28,46 @@ from .errors import ConfigError, DomainError, ShapeError
 from .parallel import run_shards
 
 
-class Tensor:
-    """A dense float64 array that may participate in a gradient graph."""
+class _Node:
+    """A tape vertex: the gradient of one tensor, its parents' nodes and its backward closure.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    A leaf's node has no parents and no closure, and keeps the gradient
+    :func:`backward` leaves there.
+    """
+
+    __slots__ = ("grad", "parents", "backward")
+
+    def __init__(self, parents: tuple[_Node, ...] = (), backward=None):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward = backward
+
+    def accumulate(self, g: np.ndarray, owned: bool = True) -> None:
+        """Add ``g`` into ``grad``.
+
+        ``owned`` means the op has just computed ``g`` and nothing else holds
+        it, so a first gradient is adopted as is.  A pass-through or view of
+        the upstream gradient (``owned=False``) is copied, because it may
+        alias a buffer another node also receives or adds into.
+        """
+        if self.grad is None:
+            self.grad = np.asarray(g, dtype=np.float64) if owned else np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """A dense float64 array that may participate in a gradient graph.
+
+    A tensor that requires a gradient has a tape node (``_node``); any other
+    has none.
+    """
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node: _Node | None = _Node() if requires_grad else None
 
     # -- introspection -------------------------------------------------
 
@@ -44,24 +83,33 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
     # -- graph plumbing ------------------------------------------------
 
-    def _accumulate(self, g: np.ndarray, owned: bool = True) -> None:
-        """Add ``g`` into ``grad``.
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The gradient ``backward`` left on this leaf, or None."""
+        return None if self._node is None else self._node.grad
 
-        ``owned`` means the op has just computed ``g`` and nothing else holds
-        it, so a first gradient is adopted as is.  A pass-through or view of
-        the upstream gradient (``owned=False``) is copied, because it may
-        alias a buffer another node also receives or adds into.
-        """
-        if self.grad is None:
-            self.grad = np.asarray(g, dtype=np.float64) if owned else np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
+    @property
+    def _backward(self):
+        """This tensor's backward closure: None for a leaf or a tensor off the tape."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._node.backward = fn
+
+    def _accumulate(self, g: np.ndarray, owned: bool = True) -> None:
+        """Add ``g`` into this tensor's gradient; see ``_Node.accumulate``."""
+        self._node.accumulate(g, owned)
 
     # -- operators -----------------------------------------------------
 
@@ -147,11 +195,13 @@ def no_grad() -> Iterator[None]:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """The tensor over ``data``, on the tape under ``backward_fn`` when a parent requires a gradient.
+
+    The node records the parents' nodes only, so the tape holds no parent array.
+    """
     out = Tensor(data)
     if _recording and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward = backward_fn
+        out._node = _Node(tuple(p._node for p in parents if p.requires_grad), backward_fn)
     return out
 
 
@@ -168,10 +218,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _accumulate_unbroadcast(x: Tensor, g: np.ndarray) -> None:
-    """Pass the upstream gradient ``g`` on to ``x``, reduced to its shape."""
-    gx = _unbroadcast(g, x.shape)
-    x._accumulate(gx, owned=gx is not g)
+def _accumulate_unbroadcast(node: _Node, shape: tuple[int, ...], g: np.ndarray) -> None:
+    """Pass the upstream gradient ``g`` on to ``node``, reduced to its tensor's ``shape``."""
+    gx = _unbroadcast(g, shape)
+    node.accumulate(gx, owned=gx is not g)
+
+
+def _read_for(sink: Tensor, operand: Tensor) -> np.ndarray | None:
+    """``operand``'s array when ``sink`` requires the gradient whose formula reads it, else None."""
+    return operand.data if sink.requires_grad else None
 
 
 # -- elementwise arithmetic ---------------------------------------------
@@ -179,48 +234,54 @@ def _accumulate_unbroadcast(x: Tensor, g: np.ndarray) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    na, nb, sa, sb = a._node, b._node, a.shape, b.shape
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accumulate_unbroadcast(a, g)
-        if b.requires_grad:
-            _accumulate_unbroadcast(b, g)
+        if na is not None:
+            _accumulate_unbroadcast(na, sa, g)
+        if nb is not None:
+            _accumulate_unbroadcast(nb, sb, g)
 
     return _make(out, (a, b), backward_fn)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    na, nb, sa, sb = a._node, b._node, a.shape, b.shape
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accumulate_unbroadcast(a, g)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
+        if na is not None:
+            _accumulate_unbroadcast(na, sa, g)
+        if nb is not None:
+            nb.accumulate(_unbroadcast(-g, sb))
 
     return _make(out, (a, b), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
+    na, nb, sa, sb = a._node, b._node, a.shape, b.shape
+    ad, bd = _read_for(b, a), _read_for(a, b)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if na is not None:
+            na.accumulate(_unbroadcast(g * bd, sa))
+        if nb is not None:
+            nb.accumulate(_unbroadcast(g * ad, sb))
 
     return _make(out, (a, b), backward_fn)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     out = a.data / b.data
+    na, nb, sa, sb = a._node, b._node, a.shape, b.shape
+    ad, bd = _read_for(b, a), b.data
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if na is not None:
+            na.accumulate(_unbroadcast(g / bd, sa))
+        if nb is not None:
+            nb.accumulate(_unbroadcast(-g * ad / (bd * bd), sb))
 
     return _make(out, (a, b), backward_fn)
 
@@ -241,12 +302,17 @@ def _shared_weight_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (_rows(x) @ w).reshape(x.shape[:-1] + w.shape[-1:])
 
 
-def _shared_weight_backward(x: Tensor, w: Tensor, g: np.ndarray) -> None:
-    """Input and weight gradients of ``x @ w`` for a 2-D ``w``: one 2-D GEMM each."""
-    if x.requires_grad:
-        x._accumulate(_shared_weight_matmul(g, w.data.T))
-    if w.requires_grad:
-        w._accumulate(_rows(x.data).T @ _rows(g))
+def _shared_weight_backward(g: np.ndarray, nx, nw, xd, wd) -> None:
+    """Input and weight gradients of ``x @ w`` for a 2-D ``w``: one 2-D GEMM each.
+
+    ``nx`` and ``nw`` are the operands' nodes (None when not on the tape);
+    the weight gradient reads ``x``'s array ``xd``, the input gradient ``w``'s
+    array ``wd``.
+    """
+    if nx is not None:
+        nx.accumulate(_shared_weight_matmul(g, wd.T))
+    if nw is not None:
+        nw.accumulate(_rows(xd).T @ _rows(g))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -256,15 +322,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
     shared = b.ndim == 2
     out = _shared_weight_matmul(a.data, b.data) if shared else a.data @ b.data
+    na, nb, sa, sb = a._node, b._node, a.shape, b.shape
+    ad, bd = _read_for(b, a), _read_for(a, b)
 
     def backward_fn(g):
         if shared:
-            _shared_weight_backward(a, b, g)
+            _shared_weight_backward(g, na, nb, ad, bd)
             return
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if na is not None:
+            na.accumulate(_unbroadcast(g @ np.swapaxes(bd, -1, -2), sa))
+        if nb is not None:
+            nb.accumulate(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb))
 
     return _make(out, (a, b), backward_fn)
 
@@ -282,12 +350,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     out += bias.data
     if relu:
         np.fmax(out, 0.0, out=out)
+    nx, nw, nb = x._node, weight._node, bias._node
+    xd, wd = _read_for(weight, x), _read_for(x, weight)
 
     def backward_fn(g):
         gpre = g * (out > 0.0) if relu else g
-        _shared_weight_backward(x, weight, gpre)
-        if bias.requires_grad:
-            bias._accumulate(_rows(gpre).sum(axis=0))
+        _shared_weight_backward(gpre, nx, nw, xd, wd)
+        if nb is not None:
+            nb.accumulate(_rows(gpre).sum(axis=0))
 
     return _make(out, (x, weight, bias), backward_fn)
 
@@ -299,15 +369,17 @@ def attention(qkv: Tensor, axis: int) -> Tensor:
     the attended axis mixes the values of all slots on that axis at fixed
     positions of the other axes with weights P = softmax(q k^T / sqrt(C));
     the output is [..., C] with the attended axis in place.  One graph node:
-    it keeps only P, and its backward forms dS = P * (dP - rowsum(dP * P))
-    as in the FlashAttention backward, without tiling.
+    it keeps only P and its input, not its output, and its backward forms
+    dS = P * (dP - rowsum(dP * P)) as in the FlashAttention backward, without
+    tiling.
     """
     axis = axis % qkv.ndim
     if axis == qkv.ndim - 1 or qkv.shape[-1] % 3:
         raise ShapeError(f"attention needs [..., 3C] channels and another axis, got {qkv.shape}")
     c = qkv.shape[-1] // 3
     scale = 1.0 / math.sqrt(c)
-    moved = np.swapaxes(qkv.data, axis, -2)  # [..., A, 3C], a view
+    packed, node = qkv.data, qkv._node
+    moved = np.swapaxes(packed, axis, -2)  # [..., A, 3C], a view
     q, k, v = moved[..., :c], moved[..., c : 2 * c], moved[..., 2 * c :]
     p = q @ np.swapaxes(k, -1, -2)
     p *= scale
@@ -318,7 +390,7 @@ def attention(qkv: Tensor, axis: int) -> Tensor:
 
     def backward_fn(g):
         g = np.swapaxes(g, axis, -2)
-        grad = np.empty_like(qkv.data)
+        grad = np.empty_like(packed)
         gm = np.swapaxes(grad, axis, -2)
         np.matmul(np.swapaxes(p, -1, -2), g, out=gm[..., 2 * c :])
         ds = g @ np.swapaxes(v, -1, -2)  # dP
@@ -327,7 +399,7 @@ def attention(qkv: Tensor, axis: int) -> Tensor:
         ds *= scale
         np.matmul(ds, k, out=gm[..., :c])
         np.matmul(np.swapaxes(ds, -1, -2), q, out=gm[..., c : 2 * c])
-        qkv._accumulate(grad)
+        node.accumulate(grad)
 
     return _make(out, (qkv,), backward_fn)
 
@@ -339,9 +411,10 @@ def relu(x: Tensor) -> Tensor:
     # fmax, not maximum, so NaN maps to 0; the subgradient at 0 is defined
     # as 0, so out > 0 is the pass-through mask
     out = np.fmax(x.data, 0.0)
+    node = x._node
 
     def backward_fn(g):
-        x._accumulate(g * (out > 0.0))
+        node.accumulate(g * (out > 0.0))
 
     return _make(out, (x,), backward_fn)
 
@@ -357,26 +430,31 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     out = _sigmoid(x.data)
+    node = x._node
 
     def backward_fn(g):
-        x._accumulate(g * out * (1.0 - out))
+        node.accumulate(g * out * (1.0 - out))
 
     return _make(out, (x,), backward_fn)
 
 
 def gated_tanh(x: Tensor) -> Tensor:
-    """tanh of the first half of the channels times sigmoid of the second: [..., 2C] -> [..., C]."""
+    """tanh of the first half of the channels times sigmoid of the second: [..., 2C] -> [..., C].
+
+    The node keeps the two halves' activations, not its input.
+    """
     if x.shape[-1] % 2:
         raise ShapeError(f"gated_tanh needs an even channel count, got {x.shape}")
     c = x.shape[-1] // 2
     t = np.tanh(x.data[..., :c])
     s = _sigmoid(x.data[..., c:])
+    node, shape = x._node, x.shape
 
     def backward_fn(g):
-        grad = np.empty_like(x.data)
+        grad = np.empty(shape)
         grad[..., :c] = g * s * (1.0 - t * t)
         grad[..., c:] = g * t * s * (1.0 - s)
-        x._accumulate(grad)
+        node.accumulate(grad)
 
     return _make(t * s, (x,), backward_fn)
 
@@ -385,18 +463,20 @@ def log_sigmoid(x: Tensor) -> Tensor:
     """log(sigmoid(x)) without intermediate underflow."""
     z = x.data
     out = np.where(z >= 0, -np.log1p(np.exp(-np.abs(z))), z - np.log1p(np.exp(-np.abs(z))))
+    node = x._node
 
     def backward_fn(g):
-        x._accumulate(g * _sigmoid(-z))
+        node.accumulate(g * _sigmoid(-z))
 
     return _make(out, (x,), backward_fn)
 
 
 def exp(x: Tensor) -> Tensor:
     out = np.exp(x.data)
+    node = x._node
 
     def backward_fn(g):
-        x._accumulate(g * out)
+        node.accumulate(g * out)
 
     return _make(out, (x,), backward_fn)
 
@@ -406,9 +486,10 @@ def log(x: Tensor) -> Tensor:
         worst = float(np.min(x.data))
         raise DomainError(f"log of non-positive input (min value {worst})")
     out = np.log(x.data)
+    z, node = x.data, x._node
 
     def backward_fn(g):
-        x._accumulate(g / x.data)
+        node.accumulate(g / z)
 
     return _make(out, (x,), backward_fn)
 
@@ -417,9 +498,10 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes through strictly inside."""
     out = np.clip(x.data, lo, hi)
     mask = (x.data > lo) & (x.data < hi)
+    node = x._node
 
     def backward_fn(g):
-        x._accumulate(g * mask)
+        node.accumulate(g * mask)
 
     return _make(out, (x,), backward_fn)
 
@@ -434,9 +516,10 @@ def stop_gradient(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     out = x.data.reshape(shape)
+    node, x_shape = x._node, x.shape
 
     def backward_fn(g):
-        x._accumulate(g.reshape(x.shape), owned=False)
+        node.accumulate(g.reshape(x_shape), owned=False)
 
     return _make(out, (x,), backward_fn)
 
@@ -445,9 +528,10 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(int(a) for a in axes)
     out = np.transpose(x.data, axes)
     inverse = np.argsort(axes)
+    node = x._node
 
     def backward_fn(g):
-        x._accumulate(np.transpose(g, inverse), owned=False)
+        node.accumulate(np.transpose(g, inverse), owned=False)
 
     return _make(out, (x,), backward_fn)
 
@@ -455,11 +539,12 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 def take(x: Tensor, index) -> Tensor:
     """Slice/int indexing, or one array of unique indices; gradient scatters back into place."""
     out = x.data[index]
+    node, shape = x._node, x.shape
 
     def backward_fn(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape)
         full[index] = g
-        x._accumulate(full)
+        node.accumulate(full)
 
     return _make(np.array(out, copy=True), (x,), backward_fn)
 
@@ -467,9 +552,10 @@ def take(x: Tensor, index) -> Tensor:
 def broadcast_to(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     out = np.broadcast_to(x.data, shape).copy()
+    node, x_shape = x._node, x.shape
 
     def backward_fn(g):
-        _accumulate_unbroadcast(x, g)
+        _accumulate_unbroadcast(node, x_shape, g)
 
     return _make(out, (x,), backward_fn)
 
@@ -479,13 +565,14 @@ def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
     out = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
+    nodes = [p._node for p in parts]
 
     def backward_fn(g):
-        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
+        for node, start, stop in zip(nodes, offsets[:-1], offsets[1:]):
+            if node is not None:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(start, stop)
-                p._accumulate(g[tuple(idx)], owned=False)
+                node.accumulate(g[tuple(idx)], owned=False)
 
     return _make(out, tuple(parts), backward_fn)
 
@@ -504,11 +591,12 @@ def _norm_axis(axis, ndim: int):
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axis = _norm_axis(axis, x.ndim)
     out = np.sum(x.data, axis=axis, keepdims=keepdims)
+    node, shape = x._node, x.shape
 
     def backward_fn(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        x._accumulate(np.broadcast_to(g, x.shape).copy())
+        node.accumulate(np.broadcast_to(g, shape).copy())
 
     return _make(out, (x,), backward_fn)
 
@@ -517,11 +605,12 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axis = _norm_axis(axis, x.ndim)
     out = np.mean(x.data, axis=axis, keepdims=keepdims)
     count = x.size if axis is None else int(np.prod([x.shape[a] for a in axis]))
+    node, shape = x._node, x.shape
 
     def backward_fn(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        x._accumulate(np.broadcast_to(g, x.shape) / count)
+        node.accumulate(np.broadcast_to(g, shape) / count)
 
     return _make(out, (x,), backward_fn)
 
@@ -532,10 +621,11 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / np.sum(e, axis=axis, keepdims=True)
+    node = x._node
 
     def backward_fn(g):
         inner = np.sum(g * out, axis=axis, keepdims=True)
-        x._accumulate((g - inner) * out)
+        node.accumulate((g - inner) * out)
 
     return _make(out, (x,), backward_fn)
 
@@ -597,20 +687,22 @@ def dilated_causal_conv(x: Tensor, kernel: Tensor, taps: Sequence, axis: int = -
     for j in range(1, k):
         out += read(j) @ kernel.data[j]
     out = out.reshape(lead + (t_out,) + cells + (c_out,))
+    nx, nk, shape = x._node, kernel._node, x.shape
+    xd, kd = _read_for(kernel, x), _read_for(x, kernel)
 
     def backward_fn(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
+        if nx is not None:
+            gx = np.zeros(shape)
             for j in range(k):
                 # taps hold unique indices, so a gathered += adds each step once
-                gx[steps[j]] += _shared_weight_matmul(g, kernel.data[j].T)
-            x._accumulate(gx)
-        if kernel.requires_grad:
+                gx[steps[j]] += _shared_weight_matmul(g, kd[j].T)
+            nx.accumulate(gx)
+        if nk is not None:
             g_rows = _rows(g)
-            gk = np.empty_like(kernel.data)
+            gk = np.empty((k, c_in, c_out))
             for j in range(k):
-                gk[j] = _rows(x.data[steps[j]]).T @ g_rows
-            kernel._accumulate(gk)
+                gk[j] = _rows(xd[steps[j]]).T @ g_rows
+            nk.accumulate(gk)
 
     return _make(out, (x, kernel), backward_fn)
 
@@ -630,17 +722,23 @@ def backward(loss: Tensor, seed: np.ndarray | None = None) -> None:
     ``seed`` is the gradient the loss itself receives, one by default.
 
     Each interior node is released as soon as its own backward has run: its
-    gradient, closure and parents are dropped, so the activations a closure
+    gradient, closure and parents are dropped, so the arrays a closure
     holds are freed during the pass rather than after it.  The graph can
     therefore be differentiated once; a second backward raises ``ConfigError``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
+    seed = np.ones_like(loss.data) if seed is None else np.array(seed, dtype=np.float64)
+    _backward_from(loss._node, seed)
+
+
+def _backward_from(root: _Node | None, seed: np.ndarray) -> None:
+    """``backward`` from the tape node of a scalar loss, which ``seed`` is adopted into."""
+    if root is None:
         return
-    topo: list[Tensor] = []
+    topo: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -650,19 +748,19 @@ def backward(loss: Tensor, seed: np.ndarray | None = None) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    loss._accumulate(np.ones_like(loss.data) if seed is None else np.array(seed, dtype=np.float64))
+    root.accumulate(seed)
     while topo:
         node = topo.pop()
-        if node._backward is None:
+        if node.backward is None:
             continue  # a leaf keeps its grad
         if node.grad is not None:
-            node._backward(node.grad)
+            node.backward(node.grad)
         node.grad = None
-        node._backward = _released
-        node._parents = ()
+        node.backward = _released
+        node.parents = ()
 
 
 def shard_mean(
@@ -681,14 +779,16 @@ def shard_mean(
     each master in shard order and drops them.
     """
     count = len(shard_losses)
+    roots = [loss._node for loss in shard_losses]
+    sinks = [[(leaf._node, masters[name]._node) for name, leaf in leaves.items()] for leaves in shard_leaves]
 
     def backward_fn(g):
         seed = g / count
-        run_shards(lambda b: backward(shard_losses[b], seed), count)
-        for leaves in shard_leaves:
-            for name, leaf in leaves.items():
+        run_shards(lambda b: _backward_from(roots[b], np.array(seed, dtype=np.float64)), count)
+        for pairs in sinks:
+            for leaf, master in pairs:
                 if leaf.grad is not None:
-                    masters[name]._accumulate(leaf.grad)
+                    master.accumulate(leaf.grad)
                     leaf.grad = None
 
     return _make(np.asarray(value, dtype=np.float64), tuple(masters.values()), backward_fn)
@@ -701,10 +801,13 @@ def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     buffers are cleared first so repeated calls do not accumulate.
     """
     for p in params.values():
-        p.grad = None
+        if p.requires_grad:
+            p._node.grad = None
     backward(loss)
     out = {}
     for name, p in params.items():
-        out[name] = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-        p.grad = None
+        g = p.grad
+        out[name] = np.zeros_like(p.data) if g is None else g.copy()
+        if g is not None:
+            p._node.grad = None
     return out

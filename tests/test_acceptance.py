@@ -95,7 +95,8 @@ def test_criterion_2_paper_shape_contract():
     elapsed = time.perf_counter() - started
 
     assert res.h.data.shape == (1, 1, 98, 4, 48)
-    assert res.augmented_input.data.shape == (1, 16, 98, 4, 49)
+    x_aug = aug.build_augmented_input(Tensor(x), Tensor(1.0 - res.mask), params.embedding)
+    assert x_aug.data.shape == (1, 16, 98, 4, 49)
     gamma = res.mixture.gamma.data
     assert gamma.shape == (1, 4)
     assert abs(float(gamma.sum()) - 1.0) < 1e-12

@@ -1,5 +1,8 @@
 """Encoder contracts: projections, both attentions, gated temporal conv."""
 
+import hashlib
+import weakref
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -376,3 +379,48 @@ class TestFusedLayer:
         monkeypatch.setattr(tensor, "_make", counting_make)
         forward_pass(params, SMALL, AblationFlags(), LossWeights(), x, y, mask_uniforms=u)
         assert sum(taped) == 182
+
+
+def recorded_pass(monkeypatch, keep: bool):
+    """A small-shape training pass, its parameters and the arrays no backward formula reads.
+
+    Those arrays are every attention output, conv output and conv+bias sum
+    (the ``gated_tanh`` input) of both views.  ``keep`` holds them strongly,
+    as a tape whose edges held parent tensors did; otherwise weakly.
+    """
+    held = []
+
+    def recording(name, pick):
+        op = getattr(tensor, name)
+
+        def recorded(*args, **kwargs):
+            out = op(*args, **kwargs)
+            data = pick(args, out).data
+            held.append(data if keep else weakref.ref(data))
+            return out
+
+        monkeypatch.setattr(enc, name, recorded)
+
+    recording("attention", lambda args, out: out)
+    recording("dilated_causal_conv", lambda args, out: out)
+    recording("gated_tanh", lambda args, out: args[0])
+    params, x, y, u = small_train_batch(SMALL, AblationFlags(), 8, 6, 3, 4)
+    res = forward_pass(params, SMALL, AblationFlags(), LossWeights(), x, y, mask_uniforms=u)
+    return held, res, params
+
+
+def test_activations_no_backward_reads_are_freed_once_consumed(monkeypatch):
+    weak, res, params = recorded_pass(monkeypatch, keep=False)
+    # 3 layers of 2 views: two attention outputs, a conv output and a conv+bias sum each
+    assert len(weak) == 24
+    # the graph, and so every consumer of those arrays, is still alive
+    assert all(ref() is None for ref in weak)
+    grads = gradients(res.total, params.named)
+    kept, res, params = recorded_pass(monkeypatch, keep=True)
+    assert len(kept) == 24
+    kept_grads = gradients(res.total, params.named)
+    assert grads.keys() == kept_grads.keys()
+    assert all(np.array_equal(grads[name], kept_grads[name]) for name in grads)
+    # the same gradients, bit for bit, as the engine whose graph edges held their parent tensors
+    digest = hashlib.sha256(b"".join(grads[name].tobytes() for name in sorted(grads))).hexdigest()
+    assert digest == "09fe6782195f25456790b0cde7235700c8747d6c1bf73ef0938e51f5f5b36138"

@@ -20,6 +20,7 @@ from mossl.rng import derive_rng
 from mossl.tensor import gradients, no_grad
 from test_encoder import SMALL, max_rel_diff
 from test_model import TINY
+from test_tensor import held_tensors
 
 # (model config, flags, input steps, nodes, modalities, batch)
 CASES = {
@@ -47,8 +48,8 @@ def train_step(cfg, flags, params, x, y, u):
 
 
 def is_sharded(res, params) -> bool:
-    """The sharded path's loss is one node whose parents are the master parameters."""
-    return {id(p) for p in res.total._parents} == {id(p) for p in params.named.values()}
+    """The sharded path's loss is one node whose parents are the master parameters' nodes."""
+    return {id(n) for n in res.total._node.parents} == {id(p._node) for p in params.named.values()}
 
 
 def shard_all(monkeypatch):
@@ -82,7 +83,7 @@ def test_sharded_loss_and_gradients_match_batched(case, monkeypatch):
         for f in ("gamma", "mu", "sigma2")
         if batched.mixture is not None
     ]
-    for field in ("predictions", "h", "h_second", "augmented_input"):
+    for field in ("predictions", "h", "h_second"):
         got, ref = getattr(sharded, field), getattr(batched, field)
         if ref is None:
             assert got is None
@@ -91,6 +92,17 @@ def test_sharded_loss_and_gradients_match_batched(case, monkeypatch):
     for got, ref in pairs:
         assert got.shape == ref.shape
         assert np.max(np.abs(got.data - ref.data)) <= 1e-12 * max(np.max(np.abs(ref.data)), 1e-300)
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["batched", "sharded"])
+def test_no_graph_edge_or_closure_holds_a_tensor(sharded, monkeypatch):
+    # a tensor on the tape would pin its array, and every array it was built from, until backward
+    cfg, flags, params, x, y, u = case_batch("small")
+    if sharded:
+        shard_all(monkeypatch)
+    res = forward_pass(params, cfg, flags, LossWeights(0.7, 0.3, 0.2), x, y, mask_uniforms=u)
+    assert is_sharded(res, params) == sharded
+    assert held_tensors(res.total._node) == []
 
 
 def test_each_sharded_part_is_differentiable(monkeypatch):
@@ -174,7 +186,7 @@ def test_sharded_pass_under_no_grad_records_no_tape(monkeypatch):
         res = forward_pass(params, cfg, flags, LossWeights(), x, y, mask_uniforms=u)
     assert taped and not any(taped)
     for t in [res.total, *res.parts.values()]:
-        assert not t.requires_grad and t._parents == () and t._backward is None
+        assert not t.requires_grad and t._node is None and t._backward is None
 
 
 def test_shard_error_names_the_callers_window(monkeypatch):

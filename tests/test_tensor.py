@@ -313,6 +313,52 @@ def test_every_op_gradient_matches_central_differences(name):
     assert rel_err(analytic, numeric) < 1e-6, f"{name} gradient mismatch"
 
 
+def held_tensors(root) -> list[str]:
+    """Where the tape below node ``root`` holds a ``Tensor``: in a parent edge or a closure cell.
+
+    Follows parent edges and every tape node a closure cell holds, such as
+    the shard graphs a ``shard_mean`` node runs, and looks inside the lists,
+    tuples, dicts and nested closures a cell holds.
+    """
+    found, seen, stack = [], set(), [root]
+
+    def scan(value, where):
+        if isinstance(value, T.Tensor):
+            found.append(where)
+        elif isinstance(value, T._Node):
+            stack.append(value)
+        elif isinstance(value, (list, tuple, set)):
+            for item in value:
+                scan(item, where)
+        elif isinstance(value, dict):
+            for item in value.values():
+                scan(item, where)
+        elif callable(value) and getattr(value, "__closure__", None):
+            for cell in value.__closure__:
+                scan(cell.cell_contents, f"{where} > {value.__qualname__}")
+
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        kind = node.backward.__qualname__ if node.backward is not None else "leaf"
+        for parent in node.parents:
+            if not isinstance(parent, T._Node):
+                found.append(f"parent edge of {kind}")
+            stack.append(parent)
+        scan(node.backward, "closure")
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(_OP_CASES))
+def test_no_op_node_holds_a_tensor(name):
+    x = T.Tensor(_offset(rng(30).standard_normal((2, 3, 3))), requires_grad=True)
+    out = _OP_CASES[name](x)
+    assert out.requires_grad
+    assert held_tensors(out._node) == []
+
+
 def test_gradient_linearity():
     x = T.Tensor(rng(40).standard_normal((3, 3)), requires_grad=True)
     w = T.Tensor(rng(41).standard_normal((3, 3)))
@@ -392,7 +438,7 @@ def test_backward_releases_interior_nodes():
     y = x * x
     T.backward((y * T.Tensor([3.0, 5.0])).sum())
     assert np.allclose(x.grad, [6.0, 20.0], atol=1e-12)
-    assert y.grad is None and y._parents == ()
+    assert y.grad is None and y._node.parents == ()
 
 
 def test_second_backward_over_released_graph_is_config_error():
@@ -414,7 +460,7 @@ def test_no_grad_builds_plain_tensors():
         nodes = [x * x, x @ w, T.sigmoid(x @ w) * x.sum(), T.linear(x, w, T.Tensor(np.zeros(2)), relu=True)]
     for node in nodes:
         assert not node.requires_grad
-        assert node._parents == () and node._backward is None
+        assert node._node is None and node._backward is None
     assert np.array_equal(nodes[2].data, taped.data)
     assert taped.requires_grad
 
@@ -430,5 +476,5 @@ def test_no_grad_nests_and_restores_after_an_exception():
         with T.no_grad():
             T.log(x - 5.0)
     y = x * x
-    assert y.requires_grad and y._parents == (x, x)
+    assert y.requires_grad and y._node.parents == (x._node, x._node)
     assert np.allclose(T.gradients(y.sum(), {"x": x})["x"], [2.0, 4.0], atol=1e-12)
