@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError
-from .tensor import Tensor, gradients
+from .tensor import Tensor, gradients, no_grad
 
 # Relative error divides by max(|analytic|, |numeric|, DENOM_FLOOR).  With
 # eps = 1e-6 and losses of magnitude O(10), central differences carry an
@@ -34,7 +34,8 @@ class GradCheckReport:
 
 
 def _eval_loss(loss_fn: Callable[[], Tensor], param_name: str) -> float:
-    value = float(loss_fn().data)
+    with no_grad():
+        value = float(loss_fn().data)
     if not np.isfinite(value):
         raise NumericalError(f"non-finite loss while perturbing parameter '{param_name}'")
     return value
@@ -48,9 +49,11 @@ def grad_check(
     """Compare reverse-mode gradients of ``loss_fn`` against central differences.
 
     ``loss_fn`` must be deterministic and recompute the loss from the current
-    parameter values on every call.  Relative error per coordinate is
-    |analytic - numeric| / max(|analytic|, |numeric|, DENOM_FLOOR); the report
-    holds the maximum over all coordinates of all parameters.
+    parameter values on every call.  Only the first call, at the unperturbed
+    parameters, records a tape; the perturbed calls run under ``no_grad``.
+    Relative error per coordinate is |analytic - numeric| /
+    max(|analytic|, |numeric|, DENOM_FLOOR); the report holds the maximum
+    over all coordinates of all parameters.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -16,7 +16,7 @@ from . import mssl as mssl_mod
 from .errors import ConfigError, NumericalError, require_at_least_one, require_non_negative
 from .parallel import run_shards
 from .rng import derive_rng
-from .tensor import Tensor, linear, parameter, relu, reshape, shard_mean, stop_gradient
+from .tensor import Tensor, backward, linear, parameter, relu, reshape, stop_gradient, with_gradients
 
 
 @dataclass(frozen=True)
@@ -323,9 +323,9 @@ def forward_pass(
     At evaluation time only the original view runs.
 
     A batch of windows whose layer-0 activation reaches ``SHARD_BYTES`` runs
-    one shard per window in parallel (``_forward_sharded``); its ``total`` and
-    ``parts`` carry gradients, its other tensors are data only.  Smaller
-    windows run as one batch.
+    one shard per window in parallel (``_forward_sharded``), and each shard
+    also runs its window's backward; only its ``total`` carries gradients,
+    its other tensors are data only.  Smaller windows run as one batch.
 
     With a ``stream``, an evaluation batch (``training=False``) whose windows
     are consecutive, each one step on from the last, runs the original view
@@ -422,24 +422,31 @@ def _forward_sharded(
     """``forward_pass`` as one ``_forward_batch`` shard per window, run on the pool.
 
     Each shard runs on its own parameter leaves over the same arrays, so
-    shards share no gradient buffer.  ``total`` and each of ``parts`` is one
-    ``shard_mean`` node over the master parameters, with the value the batched
-    path computes from the same per-window terms.  The other fields join the
-    shards' data and carry no graph.  Shards are always single windows, so the
-    numbers do not depend on how many cores run them.
+    shards share no gradient buffer.  When the tape records, a shard
+    differentiates its own total, seeded with 1 / B as the batched mean
+    passes it on, and returns its leaf gradients; its graph is gone when the
+    shard ends, so at most one window graph per core is alive.  ``total`` is
+    one ``with_gradients`` node over the master parameters carrying those
+    gradients summed in window order, with the value the batched path
+    computes from the same per-window terms.  ``parts`` and the other fields
+    join the shards' data and carry no graph.  Shards are always single
+    windows, so the numbers do not depend on how many cores run them.
     """
     count = len(x)
-    bound = [_bind(params) for _ in range(count)]
     arrays = (x, y, mask_uniforms)
 
-    def shard(b: int) -> ForwardResult:
+    def shard(b: int) -> tuple[ForwardResult, dict[str, np.ndarray]]:
         rows = [None if a is None else np.asarray(a)[b : b + 1] for a in arrays]
+        bound = _bind(params)
         try:
-            return _forward_batch(bound[b], model_cfg, flags, weights, *rows, training)
+            res = _forward_batch(bound, model_cfg, flags, weights, *rows, training)
         except NumericalError as exc:
             raise type(exc)(f"window {b} of the batch: {exc}") from exc
+        if res.total is not None:
+            backward(res.total, seed=1.0 / count)  # does nothing under no_grad
+        return res, {name: p.grad for name, p in bound.named.items() if p.grad is not None}
 
-    shards = run_shards(shard, count)
+    shards, grads = zip(*run_shards(shard, count))
 
     def joined(tensors: list[Tensor | None]) -> Tensor | None:
         return None if tensors[0] is None else Tensor(np.concatenate([t.data for t in tensors]))
@@ -456,15 +463,18 @@ def _forward_sharded(
         result.mixture = gssl_mod.MixtureState(
             *(joined([getattr(s.mixture, f) for s in shards]) for f in ("gamma", "mu", "sigma2"))
         )
-    leaves = [p.named for p in bound]
     total = None
     for name in first.parts:
         value = np.mean(np.stack([s.parts[name].data for s in shards]))
-        result.parts[name] = shard_mean(value, [s.parts[name] for s in shards], leaves, params.named)
+        result.parts[name] = Tensor(value)
         term = value * weights[name]
         total = term if total is None else total + term
+    summed = grads[0]
+    for more in grads[1:]:
+        for name, g in more.items():
+            summed[name] += g
     if total is not None:
-        result.total = shard_mean(total, [s.total for s in shards], leaves, params.named)
+        result.total = with_gradients(total, summed, params.named)
     return result
 
 

@@ -1,12 +1,14 @@
 """Shard-parallel execution: a thread pool with one thread per usable core.
 
 numpy releases the interpreter lock inside its kernels, so independent
-shards of a batch (one window each) run on separate cores as threads of one
-process.  While they run, OpenBLAS is pinned to one thread per call through
-its own ``openblas_set_num_threads`` entry point: a GEMM that would split
-over every core then stays on the core of its shard instead of contending
-with the other shards.  Where no such entry point is found the shards run
-one after another in the caller, with the same numbers and no speed-up.
+shards of a batch (one window each, its forward and, when training, its
+backward) run on separate cores as threads of one process.  While they run,
+OpenBLAS is pinned to one thread per call through its own
+``openblas_set_num_threads`` entry point, also when one worker runs them
+all: a GEMM that would split over every core then stays on the core of its
+shard instead of contending with the other shards, and sums in the same
+order whatever the core count.  Where no such entry point is found the
+shards run one after another in the caller, with no speed-up.
 
 The pool, the ``ctypes`` handle and the thread-count probe are created on
 first use, so a process that never shards pays none of them.
@@ -72,12 +74,11 @@ def run_shards(fn: Callable[[int], T], count: int) -> list[T]:
 
     Every call has finished when this returns or raises.  When calls raise,
     the error of the lowest shard is raised, as a serial loop would.  OpenBLAS
-    runs one thread per call meanwhile, and gets its previous thread count
-    back afterwards, also when a call raises.  The calls must not call
-    ``run_shards`` themselves.
+    runs one thread per call meanwhile, with one worker as with many, and
+    gets its previous thread count back afterwards, also when a call raises.
+    The calls must not call ``run_shards`` themselves.
     """
-    workers = min(usable_cores(), count)
-    blas = blas_thread_control() if workers > 1 else None
+    blas = blas_thread_control()
     if blas is None:
         return [fn(i) for i in range(count)]
     from concurrent.futures import wait
@@ -87,7 +88,7 @@ def run_shards(fn: Callable[[int], T], count: int) -> list[T]:
     set_threads(1)
     try:
         # each call sees the caller's context variables, numpy's error state among them
-        pool = _executor(workers)
+        pool = _executor(min(usable_cores(), count))
         futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(count)]
         wait(futures)
     finally:

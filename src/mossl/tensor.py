@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .parallel import run_shards
 
 
 class _Node:
@@ -728,12 +727,7 @@ def backward(loss: Tensor, seed: np.ndarray | None = None) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    seed = np.ones_like(loss.data) if seed is None else np.array(seed, dtype=np.float64)
-    _backward_from(loss._node, seed)
-
-
-def _backward_from(root: _Node | None, seed: np.ndarray) -> None:
-    """``backward`` from the tape node of a scalar loss, which ``seed`` is adopted into."""
+    root = loss._node
     if root is None:
         return
     topo: list[_Node] = []
@@ -751,7 +745,7 @@ def _backward_from(root: _Node | None, seed: np.ndarray) -> None:
         for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    root.accumulate(seed)
+    root.accumulate(np.ones_like(loss.data) if seed is None else np.array(seed, dtype=np.float64))
     while topo:
         node = topo.pop()
         if node.backward is None:
@@ -763,35 +757,21 @@ def _backward_from(root: _Node | None, seed: np.ndarray) -> None:
         node.parents = ()
 
 
-def shard_mean(
-    value,
-    shard_losses: Sequence[Tensor],
-    shard_leaves: Sequence[dict[str, Tensor]],
-    masters: dict[str, Tensor],
-) -> Tensor:
-    """The mean of scalar losses of independent shard graphs, as one node over ``masters``.
+def with_gradients(value, grads: dict[str, np.ndarray], params: dict[str, Tensor]) -> Tensor:
+    """A scalar ``value`` whose gradient in ``params[name]`` is ``grads[name]``, as one node.
 
-    Shard b's graph was built on ``shard_leaves[b]``: fresh leaves over the
-    arrays of ``masters``, under the same names.  ``value`` is the mean as the
-    caller computed it.  The backward runs every shard's backward on the pool
-    (``parallel.run_shards``), each seeded with its share g / shards as a
-    batched mean would pass it on, then adds the shards' leaf gradients into
-    each master in shard order and drops them.
+    For a loss whose graph was differentiated elsewhere, as each window of a
+    sharded pass is: the backward adds g × ``grads[name]`` into each named
+    parameter.
     """
-    count = len(shard_losses)
-    roots = [loss._node for loss in shard_losses]
-    sinks = [[(leaf._node, masters[name]._node) for name, leaf in leaves.items()] for leaves in shard_leaves]
+    sinks = [(params[name]._node, grad) for name, grad in grads.items()]
 
     def backward_fn(g):
-        seed = g / count
-        run_shards(lambda b: _backward_from(roots[b], np.array(seed, dtype=np.float64)), count)
-        for pairs in sinks:
-            for leaf, master in pairs:
-                if leaf.grad is not None:
-                    master.accumulate(leaf.grad)
-                    leaf.grad = None
+        for node, grad in sinks:
+            node.accumulate(g * grad)
 
-    return _make(np.asarray(value, dtype=np.float64), tuple(masters.values()), backward_fn)
+    parents = tuple(params[name] for name in grads)
+    return _make(np.asarray(value, dtype=np.float64), parents, backward_fn)
 
 
 def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:

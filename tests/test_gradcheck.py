@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mossl import tensor
 from mossl.config import parse_config
 from mossl.errors import NumericalError
 from mossl.gradcheck import PASS_THRESHOLD, grad_check
@@ -50,6 +51,27 @@ def test_restores_parameters_after_run():
     before = theta.data.copy()
     grad_check(lambda: (theta * theta).sum(), {"theta": theta})
     assert np.array_equal(theta.data, before)
+
+
+def test_only_the_base_evaluation_records_a_tape(monkeypatch):
+    theta = Tensor([0.5, -0.25, 2.0], requires_grad=True)
+    calls, taped = [], []
+    make = tensor._make
+
+    def counting_make(data, parents, backward_fn):
+        out = make(data, parents, backward_fn)
+        taped.append((len(calls), out.requires_grad))
+        return out
+
+    def loss():
+        calls.append(None)
+        return (theta * theta * theta).sum()
+
+    monkeypatch.setattr(tensor, "_make", counting_make)
+    grad_check(loss, {"theta": theta})
+    assert len(calls) == 1 + 2 * theta.size
+    assert {call for call, recorded in taped if recorded} == {1}
+    assert {call for call, _ in taped} == set(range(1, len(calls) + 1))
 
 
 def test_rejects_nonpositive_eps():

@@ -5,6 +5,7 @@ sharded path is forced here by setting the threshold to 0 and compared
 with the batched path on the same inputs.
 """
 
+import gc
 import sys
 import warnings
 
@@ -40,6 +41,16 @@ def case_batch(case, seed=7):
     return cfg, flags, params, x, y, r.random(x.shape)
 
 
+def paper_batch(batch):
+    """``case_batch``'s fields at the paper shape: N=98, M=4, T=16, hidden 48."""
+    cfg = ModelConfig()
+    dims = ModelDims(input_steps=16, output_steps=3, nodes=98, modalities=4)
+    params = init_params(cfg, dims, AblationFlags(), seed=0)
+    r = derive_rng(0, "paper-shape")
+    x = r.standard_normal((batch, 16, 98, 4))
+    return cfg, AblationFlags(), params, x, r.standard_normal((batch, 3, 98, 4)), r.random(x.shape)
+
+
 def train_step(cfg, flags, params, x, y, u):
     """The pass, its parameter gradients, and whether it ran sharded."""
     res = forward_pass(params, cfg, flags, LossWeights(0.7, 0.3, 0.2), x, y, mask_uniforms=u)
@@ -48,8 +59,13 @@ def train_step(cfg, flags, params, x, y, u):
 
 
 def is_sharded(res, params) -> bool:
-    """The sharded path's loss is one node whose parents are the master parameters' nodes."""
-    return {id(n) for n in res.total._node.parents} == {id(p._node) for p in params.named.values()}
+    """The sharded path's loss is one node whose parents are master parameters' nodes.
+
+    Its parents are the parameters the windows' graphs reach; the batched
+    path's loss has interior nodes as parents.
+    """
+    parents = {id(n) for n in res.total._node.parents}
+    return bool(parents) and parents <= {id(p._node) for p in params.named.values()}
 
 
 def shard_all(monkeypatch):
@@ -105,16 +121,26 @@ def test_no_graph_edge_or_closure_holds_a_tensor(sharded, monkeypatch):
     assert held_tensors(res.total._node) == []
 
 
-def test_each_sharded_part_is_differentiable(monkeypatch):
+def test_sharded_total_carries_each_parts_gradient(monkeypatch):
     cfg, flags, params, x, y, u = case_batch("tiny")
     batched = forward_pass(params, cfg, flags, LossWeights(), x, y, mask_uniforms=u)
     want = gradients(batched.parts["mixture"], params.named)
     shard_all(monkeypatch)
-    sharded = forward_pass(params, cfg, flags, LossWeights(), x, y, mask_uniforms=u)
-    assert max_rel_diff(gradients(sharded.parts["mixture"], params.named), want) <= 1e-12
-    # the shard graphs are released by the first backward, as the batched tape is
+    sharded = forward_pass(params, cfg, flags, LossWeights(0, 1, 0), x, y, mask_uniforms=u)
+    assert not any(part.requires_grad for part in sharded.parts.values())
+    assert max_rel_diff(gradients(sharded.total, params.named), want) <= 1e-12
+    # the total's node is released by the first backward, as the batched tape is
     with pytest.raises(ConfigError, match="released graph"):
         gradients(sharded.total, params.named)
+
+
+def test_no_window_graph_outlives_its_shard(monkeypatch):
+    shard_all(monkeypatch)
+    cfg, flags, params, x, y, u = case_batch("small")
+    res = forward_pass(params, cfg, flags, LossWeights(0.7, 0.3, 0.2), x, y, mask_uniforms=u)
+    gc.collect()  # unreachable cycles other tests left behind are not alive
+    live = {id(obj) for obj in gc.get_objects() if isinstance(obj, tensor._Node)}
+    assert live == {id(p._node) for p in params.named.values()} | {id(res.total._node)}
 
 
 @pytest.mark.parametrize("case", ["tiny", "small"])
@@ -139,35 +165,46 @@ def test_sharded_full_model_gradient_check(monkeypatch):
         mask = forward_pass(params, cfg, flags, LossWeights(), x, y, mask_uniforms=u).mask
     pinned = uniforms_for_mask(mask)
 
+    calls = []
+    forward_sharded = model._forward_sharded
+
+    def spy(*args):
+        calls.append(len(args[4]))
+        return forward_sharded(*args)
+
+    monkeypatch.setattr(model, "_forward_sharded", spy)
+
     def loss_fn():
-        res = forward_pass(params, cfg, flags, LossWeights(), x, y, mask_uniforms=pinned)
-        assert is_sharded(res, params)
-        return res.total
+        return forward_pass(params, cfg, flags, LossWeights(), x, y, mask_uniforms=pinned).total
 
     report = grad_check(loss_fn, params.named)
     assert report.max_rel_error < 1e-4, report.worst_param
+    # every evaluation, the base one and each perturbed one, ran sharded
+    assert calls == [2] * (1 + 2 * sum(p.size for p in params.named.values()))
 
 
 def test_one_worker_and_more_workers_than_cores_are_byte_identical(monkeypatch):
     shard_all(monkeypatch)
-    cfg, flags, params, x, y, u = case_batch("small")
 
-    def run(cores):
+    def run(cores, cfg, flags, params, x, y, u):
         monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
         res, grads, _ = train_step(cfg, flags, params, x, y, u)
         return [res.total.data.tobytes(), res.predictions.data.tobytes()] + [
             grads[name].tobytes() for name in sorted(grads)
         ]
 
-    serial = run(1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
-    try:
-        for _ in range(3):
-            assert run(len(x) - 1) == serial
-            assert run(len(x)) == serial
-    finally:
-        sys.setswitchinterval(interval)
+    # only the paper shape's GEMMs are large enough for OpenBLAS to split over threads
+    for batch in (case_batch("small"), paper_batch(2)):
+        windows = len(batch[3])
+        serial = run(1, *batch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            for _ in range(3):
+                assert run(windows - 1, *batch) == serial
+                assert run(windows, *batch) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_sharded_pass_under_no_grad_records_no_tape(monkeypatch):
@@ -235,10 +272,7 @@ def test_blas_thread_count_is_pinned_and_restored(monkeypatch):
 
 
 def test_paper_shape_sharded_eval_is_bit_identical(monkeypatch):
-    cfg = ModelConfig()
-    dims = ModelDims(input_steps=16, output_steps=3, nodes=98, modalities=4)
-    params = init_params(cfg, dims, AblationFlags(), seed=0)
-    x = derive_rng(0, "paper-shape").standard_normal((2, 16, 98, 4))
+    cfg, _, params, x, _, _ = paper_batch(2)
     assert x[0].nbytes * cfg.hidden >= model.SHARD_BYTES  # the paper shape shards by default
 
     def predictions():

@@ -317,8 +317,8 @@ def held_tensors(root) -> list[str]:
     """Where the tape below node ``root`` holds a ``Tensor``: in a parent edge or a closure cell.
 
     Follows parent edges and every tape node a closure cell holds, such as
-    the shard graphs a ``shard_mean`` node runs, and looks inside the lists,
-    tuples, dicts and nested closures a cell holds.
+    the parameters a ``with_gradients`` node adds into, and looks inside the
+    lists, tuples, dicts and nested closures a cell holds.
     """
     found, seen, stack = [], set(), [root]
 
