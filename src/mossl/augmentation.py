@@ -5,7 +5,9 @@ cells with low relevance are masked (zeroed in normalized space) with high
 probability, and the masked grid is stacked with a learned
 time/node/modality embedding to form the augmented input.  The mask is
 computed in one place, ``mask_from_uniforms``, from U(0,1) draws made before
-the pass; the keep factor and every caller read that mask.
+the pass; the keep factor and every caller read that mask.  The mask is a
+hard draw, so no gradient reaches the relevance: the forward pass computes
+it from detached inputs, and the relevance weight keeps its initial values.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, broadcast_to, clip, concat, reshape, softmax
+from .tensor import Tensor, broadcast_to, concat, reshape, softmax
 
 
 @dataclass
@@ -27,9 +29,7 @@ class EmbeddingParams:
 def modality_relevance(h_detached: Tensor, relevance_weight: Tensor) -> Tensor:
     """Softmax relevance over the modality axis: [..., T', N, M, C] -> [..., T', N, M].
 
-    ``h_detached`` must be the stop-gradient of the original-view
-    representation; only ``relevance_weight`` stays learnable, and it only
-    receives gradient when the straight-through mask path is enabled.
+    ``h_detached`` is the stop-gradient of the original-view representation.
     """
     w = reshape(relevance_weight, (relevance_weight.shape[0], 1))
     v = h_detached @ w  # [..., T', N, M, 1]
@@ -37,13 +37,12 @@ def modality_relevance(h_detached: Tensor, relevance_weight: Tensor) -> Tensor:
     return softmax(v, axis=-1)
 
 
-def input_mask_probability(phi: Tensor, input_steps: int, scale: float = 1.0) -> Tensor:
+def input_mask_probability(phi: Tensor, input_steps: int) -> Tensor:
     """Masking probability of the encoder's one output step [..., 1, N, M], broadcast over time.
 
-    A cell with keep relevance phi is masked with probability 1 - phi, scaled
-    and clamped to [0, 1].
+    A cell with keep relevance phi is masked with probability 1 - phi.
     """
-    prob = clip((1.0 - phi) * scale, 0.0, 1.0)
+    prob = 1.0 - phi
     target = prob.shape[:-3] + (input_steps,) + prob.shape[-2:]
     return broadcast_to(prob, target)
 
@@ -66,18 +65,9 @@ def uniforms_for_mask(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, 0.0, 1.0)
 
 
-def keep_factor(mask_prob: Tensor, mask: np.ndarray, straight_through: bool = False) -> Tensor:
-    """Multiplicative keep factor 1 - mask for the raw input channel.
-
-    The hard mask is a constant by default; the straight-through variant
-    keeps its values but routes the gradient of the keep probability
-    ``1 - mask_prob`` through it (Bengio, Leonard & Courville, arXiv:1308.3432).
-    """
-    hard = (~mask).astype(np.float64)
-    if not straight_through:
-        return Tensor(hard)
-    soft = 1.0 - mask_prob
-    return soft + Tensor(hard - soft.data)
+def keep_factor(mask: np.ndarray) -> Tensor:
+    """Multiplicative keep factor 1 - mask for the raw input channel, a constant."""
+    return Tensor((~mask).astype(np.float64))
 
 
 def build_augmented_input(x: Tensor, keep: Tensor, embedding: EmbeddingParams) -> Tensor:

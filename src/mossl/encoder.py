@@ -106,11 +106,6 @@ def temporal_conv_layer(h_cat: Tensor, conv: ConvParams, taps) -> Tensor:
     return linear(gated_tanh(pre), conv.mix_weight, conv.mix_bias)
 
 
-def _time_index(steps) -> tuple:
-    """Index along the time axis of [..., T, N, M, C]."""
-    return (Ellipsis, steps, slice(None), slice(None), slice(None))
-
-
 def _conv_input(h: Tensor, layer: LayerParams) -> Tensor:
     """A layer's three views side by side on the channel axis: [h, ma, sa]."""
     ma = modality_attention(h, layer.modality_attn)
@@ -128,14 +123,10 @@ def encode(x: Tensor, proj: ProjectionParams, layers: list[LayerParams], cfg: Mo
     cfg.check_input_steps(x.shape[-4], "encoder window steps")
     plan = cfg.time_plan()
     if len(plan.steps[0]) < x.shape[-4]:
-        x = x[_time_index(plan.steps[0])]
+        x = x[..., plan.steps[0], :, :, :]
     h = input_project(x, proj)
     for layer, taps in zip(layers, plan.taps, strict=True):
-        out = temporal_conv_layer(_conv_input(h, layer), layer.conv, taps)
-        if cfg.residual:
-            # the last tap reads each output step's own time step
-            out = out + h[_time_index(taps[-1])]
-        h = out
+        h = temporal_conv_layer(_conv_input(h, layer), layer.conv, taps)
     return h
 
 
@@ -206,9 +197,6 @@ def _stream_pass(x: np.ndarray, proj: ProjectionParams, layers: list[LayerParams
             stacked = concat([Tensor(queues[i]), stacked], axis=-4)
         kept = stacked.shape[-4] - (cfg.kernel_size - 1) * dilation
         taps = [np.arange(j * dilation, j * dilation + kept) for j in range(cfg.kernel_size)]
-        out = temporal_conv_layer(stacked, layer.conv, taps)
         queues[i] = stacked.data[kept:].copy()
-        if cfg.residual:
-            out = out + h[_time_index(slice(h.shape[-4] - kept, None))]
-        h = out
+        h = temporal_conv_layer(stacked, layer.conv, taps)
     return h

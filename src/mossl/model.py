@@ -41,14 +41,9 @@ class ModelConfig:
     kernel_size: int = 2
     dilations: tuple[int, ...] = (1, 2, 4, 8)
     mixture_components: int = 4
-    residual: bool = False
-    straight_through_mask: bool = False
-    mask_scale: float = 1.0
-    average_negatives: bool = False
 
     def __post_init__(self):
         require_at_least_one(self, "hidden", "layers", "kernel_size", "mixture_components")
-        require_non_negative(self, "mask_scale")
         if len(self.dilations) != self.layers:
             raise ConfigError(
                 f"dilation schedule {self.dilations} does not cover {self.layers} layers"
@@ -371,12 +366,13 @@ def _forward_batch(
     if training:
         h_second = None
         if flags.masked_view:
-            phi = aug.modality_relevance(stop_gradient(h), params.relevance_weight)
-            prob = aug.input_mask_probability(phi, x_t.shape[-3], model_cfg.mask_scale)
+            # detached inputs: the relevance and the mask probability record no tape node
+            phi = aug.modality_relevance(stop_gradient(h), stop_gradient(params.relevance_weight))
+            prob = aug.input_mask_probability(phi, x_t.shape[-3])
             if mask_uniforms is None:
                 raise ConfigError("training with masking needs mask_uniforms")
             result.mask = aug.mask_from_uniforms(prob, mask_uniforms)
-            keep = aug.keep_factor(prob, result.mask, model_cfg.straight_through_mask)
+            keep = aug.keep_factor(result.mask)
             x_aug = aug.build_augmented_input(x_t, keep, params.embedding)
             h_second = enc.encode(x_aug, params.aug_input_proj, params.encoder.layers, model_cfg)
         elif flags.unshared_view:
@@ -392,9 +388,7 @@ def _forward_batch(
             companion = h_second if h_second is not None else h
             fused = mssl_mod.fuse(h, companion, params.fusion)
             context = mssl_mod.modality_context(fused)
-            parts["contrast"] = mssl_mod.mssl_loss(
-                fused, context, params.fusion.pair_matrix, model_cfg.average_negatives
-            )
+            parts["contrast"] = mssl_mod.mssl_loss(fused, context, params.fusion.pair_matrix)
 
     for name, part in parts.items():
         if not np.isfinite(part.data):

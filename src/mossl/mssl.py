@@ -37,12 +37,7 @@ def modality_context(fused: Tensor) -> Tensor:
     return sigmoid(fused.mean(axis=(-4, -3)))
 
 
-def mssl_loss(
-    fused: Tensor,
-    context: Tensor,
-    pair_matrix: Tensor,
-    average_negatives: bool = False,
-) -> Tensor:
+def mssl_loss(fused: Tensor, context: Tensor, pair_matrix: Tensor) -> Tensor:
     """Contrastive BCE over modality pairs, grid-summed and batch-averaged.
 
     Every grid cell anchors one positive (its own modality context) and one
@@ -62,7 +57,5 @@ def mssl_loss(
     total = -positives
     if modalities > 1:
         negatives = (log_sigmoid(-scores) * (1.0 - eye)).sum(axis=tuple(range(1, scores.ndim)))
-        if average_negatives:
-            negatives = negatives * (1.0 / (modalities - 1))
         total = total - negatives
     return total.mean()

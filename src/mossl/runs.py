@@ -269,12 +269,10 @@ def run_gradcheck(cfg: RunConfig, quiet: bool = False) -> GradCheckReport:
     """Finite-difference check of the full joint objective at config dims.
 
     One mask is drawn up front and every pass gets its 0/1 ``uniforms_for_mask``,
-    so the loss is a deterministic function of the parameters; with
-    ``straight_through_mask`` off the keep factor is a constant, so the check
-    covers the hard-mask objective.  Every parameter gets a small random
-    offset so the check runs at a generic point: freshly zeroed biases
-    otherwise sit exactly on relu kinks, where one-sided subgradients and
-    central differences legitimately disagree.
+    so the loss is a deterministic function of the parameters.  Every
+    parameter gets a small random offset so the check runs at a generic point:
+    freshly zeroed biases otherwise sit exactly on relu kinks, where one-sided
+    subgradients and central differences legitimately disagree.
     """
     prepared = prepared_from_config(cfg)
     train_ws = prepared.splits["train"]
@@ -284,8 +282,7 @@ def run_gradcheck(cfg: RunConfig, quiet: bool = False) -> GradCheckReport:
     x = train_ws.x[:batch]
     y = train_ws.y[:batch]
     flags = cfg.train.ablation
-    model_cfg = dataclasses.replace(cfg.model, straight_through_mask=False)
-    params = init_params(model_cfg, model_dims(prepared), flags, cfg.seed)
+    params = init_params(cfg.model, model_dims(prepared), flags, cfg.seed)
     for name, p in params.named.items():
         p.data += derive_rng(cfg.seed, "gradcheck-offset", name).uniform(-0.05, 0.05, p.shape)
     weights = cfg.train.loss_weights
@@ -293,11 +290,11 @@ def run_gradcheck(cfg: RunConfig, quiet: bool = False) -> GradCheckReport:
     uniforms = derive_rng(cfg.seed, "gradcheck-mask").random(x.shape)
     if flags.masked_view:
         with no_grad():
-            first = forward_pass(params, model_cfg, flags, weights, x, y, mask_uniforms=uniforms)
+            first = forward_pass(params, cfg.model, flags, weights, x, y, mask_uniforms=uniforms)
         uniforms = uniforms_for_mask(first.mask)
 
     def loss_fn():
-        return forward_pass(params, model_cfg, flags, weights, x, y, mask_uniforms=uniforms).total
+        return forward_pass(params, cfg.model, flags, weights, x, y, mask_uniforms=uniforms).total
 
     started = time.perf_counter()
     report = grad_check(loss_fn, params.named)

@@ -122,18 +122,14 @@ def contrastive_loop(r: np.ndarray, context: np.ndarray, w3: np.ndarray) -> floa
 def encode_every_step(x, proj, layers, cfg):
     """The encoder computing every time step of every layer, with dense conv taps.
 
-    Same blocks as ``encoder.encode``; the residual adds the last steps of
-    each layer's input.  Drop-in replacement for ``encoder.encode``.
+    Same blocks as ``encoder.encode``.  Drop-in replacement for ``encoder.encode``.
     """
     h = enc.input_project(x, proj)
     for layer, dilation in zip(layers, cfg.dilations, strict=True):
         ma = enc.modality_attention(h, layer.modality_attn)
         sa = enc.spatial_attention(h, layer.spatial_attn)
         taps = dense_taps(h.shape[-4], cfg.kernel_size, dilation)
-        out = enc.temporal_conv_layer(concat([h, ma, sa], axis=-1), layer.conv, taps)
-        if cfg.residual:
-            out = out + h[..., h.shape[-4] - out.shape[-4]:, :, :, :]
-        h = out
+        h = enc.temporal_conv_layer(concat([h, ma, sa], axis=-1), layer.conv, taps)
     return h
 
 
@@ -184,8 +180,5 @@ def encode_unfused(x, proj, layers, cfg):
     for layer, taps in zip(layers, plan.taps, strict=True):
         ma = axis_attention_unfused(h, layer.modality_attn, axis=-2)
         sa = axis_attention_unfused(h, layer.spatial_attn, axis=-3)
-        out = temporal_conv_unfused(concat([h, ma, sa], axis=-1), layer.conv, taps)
-        if cfg.residual:
-            out = out + h[..., taps[-1], :, :, :]
-        h = out
+        h = temporal_conv_unfused(concat([h, ma, sa], axis=-1), layer.conv, taps)
     return h

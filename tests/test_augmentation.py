@@ -38,8 +38,8 @@ class TestRelevance:
 class TestMaskSampling:
     """The mask ``forward_pass`` applies: ``mask_from_uniforms`` on training's uniforms."""
 
-    def mask(self, phi, seed, window=0, scale=1.0, input_steps=4):
-        prob = aug.input_mask_probability(Tensor(phi), input_steps, scale)
+    def mask(self, phi, seed, window=0, input_steps=4):
+        prob = aug.input_mask_probability(Tensor(phi), input_steps)
         return aug.mask_from_uniforms(prob, window_mask_uniforms(seed, 0, window, prob.shape))
 
     def test_full_relevance_never_masks(self):
@@ -55,10 +55,6 @@ class TestMaskSampling:
         rate = np.mean([self.mask(phi, seed=9, window=i, input_steps=10) for i in range(2000)])
         assert abs(rate - 0.75) < 0.01
 
-    def test_scale_factor_shrinks_probability(self):
-        mask = self.mask(np.full((1, 2, 4), 0.25), seed=10, scale=0.5, input_steps=400)
-        assert abs(mask.mean() - 0.375) < 0.02
-
     def test_input_probability_broadcasts_over_time(self):
         phi = Tensor(rng(11).uniform(0.2, 0.8, size=(2, 1, 3, 4)))
         prob = aug.input_mask_probability(phi, input_steps=6)
@@ -67,7 +63,7 @@ class TestMaskSampling:
         assert np.allclose(prob.data[:, 0], 1.0 - phi.data[:, 0], atol=1e-12)
 
     def test_uniforms_for_mask_reproduce_it_at_every_probability(self):
-        # the clip bounds 0 and 1 are the edges where a pinned cell could flip
+        # probabilities 0 and 1 are the edges where a pinned cell could flip
         prob = Tensor(np.concatenate([[0.0, 1.0, 1e-300], rng(12).random(997)]))
         mask = aug.mask_from_uniforms(prob, rng(13).random(prob.shape))
         assert np.array_equal(aug.mask_from_uniforms(prob, aug.uniforms_for_mask(mask)), mask)
@@ -114,17 +110,7 @@ class TestKeepFactor:
     def test_hard_draw_is_constant_by_default(self):
         prob = Tensor(np.full((2, 4, 1, 2), 0.5), requires_grad=False)
         uniforms = rng(13).random((2, 4, 1, 2))
-        keep = aug.keep_factor(prob, aug.mask_from_uniforms(prob, uniforms))
+        keep = aug.keep_factor(aug.mask_from_uniforms(prob, uniforms))
         assert not keep.requires_grad
         assert set(np.unique(keep.data)) <= {0.0, 1.0}
         assert np.array_equal(keep.data == 0.0, uniforms < 0.5)
-
-    def test_straight_through_keeps_hard_values_but_carries_gradient(self):
-        w = Tensor(np.array([0.3]), requires_grad=True)
-        prob = w * Tensor(np.ones((1, 4, 1, 1)))
-        mask = aug.mask_from_uniforms(prob, rng(14).random((1, 4, 1, 1)))
-        hard = aug.keep_factor(prob, mask)
-        soft = aug.keep_factor(prob, mask, straight_through=True)
-        assert np.array_equal(hard.data, soft.data)
-        grads = gradients(soft.sum(), {"w": w})
-        assert grads["w"][0] != 0.0

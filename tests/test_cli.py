@@ -385,11 +385,14 @@ class TestErrors:
         assert err == "error: non-finite value nan at time '1', node 'a', modality 'x'\n"
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
-        cfg = tiny_config()
-        cfg["model"]["hideen"] = 12
-        path = write_config(tmp_path, cfg)
-        assert run(["train", "--config", path, "--out", tmp_path / "r", "--quiet"]) == 1
-        assert "hideen" in capsys.readouterr().err
+        # a typo, and each deleted model switch that an older config may still set
+        for key in ("hideen", "straight_through_mask", "mask_scale", "average_negatives", "residual"):
+            cfg = tiny_config()
+            cfg["model"][key] = 12
+            path = write_config(tmp_path, cfg, f"{key}.json")
+            assert run(["train", "--config", path, "--out", tmp_path / "r", "--quiet"]) == 1, key
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0], lines
 
     @pytest.mark.parametrize(
         "section,key,value,named",
@@ -397,7 +400,7 @@ class TestErrors:
             ("model", "dilations", 3, "model.dilations"),
             ("model", "hidden", "abc", "model.hidden"),
             (None, "model", [], "model"),
-            ("model", "residual", "false", "model.residual"),
+            ("train", "ablation", {"no_av": "false"}, "train.ablation.no_av"),
         ],
     )
     def test_wrong_value_type_is_usage_error(self, tmp_path, capsys, section, key, value, named):

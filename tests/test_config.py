@@ -23,8 +23,7 @@ def rich_config() -> dict:
     cfg["data"]["synthetic"]["coupling"] = [[[0.7, 0.3], [0.3, 0.7]], [[1, 0], [0, 1]]]
     cfg["data"]["synthetic_seed"] = 4
     cfg["data"]["stride"] = 2
-    cfg["model"]["residual"] = True
-    cfg["model"]["mask_scale"] = 0.5
+    cfg["train"]["learning_rate"] = 0.02
     cfg["train"]["ablation"] = {"no_gssl": True}
     cfg["train"]["early_stop_patience"] = 3
     return cfg
@@ -33,17 +32,17 @@ def rich_config() -> dict:
 class TestHash:
     def test_acceptance_tiny_config_hash_is_pinned(self):
         assert parse_config(TINY_CONFIG_TEXT).config_hash() == (
-            "e63c2f113d6baf1d57d87d7540810e2526755d6dd37cbbccc04c7fd71f32e4e9"
+            "056cb56de09128d8d273445299e01507e0c11f0017d3c1d577998319c2d9993d"
         )
 
     def test_cli_tiny_config_hash_is_pinned(self):
         assert parse(tiny_config()).config_hash() == (
-            "4e9cb714f9b2720b8e020b5f259f16cef5e03512452ebdee0b701e118bdf7552"
+            "755209d84606f3a5a65123cba71053d30ddb12028b2ba4cc1637cd799144a8ee"
         )
 
     def test_rich_config_hash_is_pinned(self):
         assert parse(rich_config()).config_hash() == (
-            "59c32008379e3a9abeb0e585b7ae73e91a7bb8157b1654882e8c427ab6bc4690"
+            "8d98b11cc644fab8c19f5b81dad8e1601847ec5ca3b8be4436f08ec481f6c81f"
         )
 
     def test_effective_dict_round_trips(self):
@@ -56,7 +55,6 @@ class TestHash:
 class TestCoercion:
     def test_defaults_fill_missing_sections(self):
         cfg = parse(tiny_config())
-        assert cfg.model.straight_through_mask is False
         assert cfg.train.ablation.no_av is False
         assert cfg.data.synthetic.regimes == 1
 
@@ -80,7 +78,7 @@ class TestCoercion:
             ("model", "dilations", [1, "2"], "model.dilations[1]"),
             ("model", "hidden", 4.0, "model.hidden"),
             ("model", "hidden", None, "model.hidden"),
-            ("model", "residual", 1, "model.residual"),
+            ("train", "ablation", {"no_mssl": 1}, "train.ablation.no_mssl"),
             ("train", "epochs", True, "train.epochs"),
             ("train", "learning_rate", "fast", "train.learning_rate"),
             ("train", "loss_weights", {"forecast": "x"}, "train.loss_weights.forecast"),
@@ -90,7 +88,7 @@ class TestCoercion:
         ],
     )
     def test_wrong_type_names_the_key(self, section, key, value, named):
-        # test_cli.py::TestErrors covers dilations 3, hidden "abc", residual "false", model []
+        # test_cli.py::TestErrors covers dilations 3, hidden "abc", no_av "false", model []
         doc = tiny_config()
         doc[section][key] = value
         with pytest.raises(ConfigError, match="^" + re.escape(named)):
@@ -147,9 +145,6 @@ class TestCoercion:
             ("train", {"learning_rate": -0.01}, "train: learning_rate must be non-negative"),
             ("data", {"split": [0.7, 0.1, 0.1]}, "data.split: split fractions must sum to 1"),
             ("data", {"split": [1.2, -0.1, -0.1]}, "data.split: split fractions must be non-negative"),
-            ("model", {"mask_scale": -1.0}, "model: mask_scale must be non-negative and finite"),
-            ("model", {"mask_scale": math.nan}, "model: mask_scale must be non-negative and finite"),
-            ("model", {"mask_scale": math.inf}, "model: mask_scale must be non-negative and finite"),
             ("train.loss_weights", {"forecast": -1.0}, "train.loss_weights: forecast must be non-"),
             ("train.loss_weights", {"mixture": math.nan}, "train.loss_weights: mixture must be non-"),
             ("train.loss_weights", {"contrast": math.inf}, "train.loss_weights: contrast must be non-"),
@@ -159,8 +154,7 @@ class TestCoercion:
         ],
         ids=["hidden", "layers", "kernel_size", "mixture_components", "batch_size", "epochs",
              "output_steps", "input_steps", "stride", "early_stop_patience", "learning_rate",
-             "split_sum", "split_negative", "mask_scale_negative", "mask_scale_nan",
-             "mask_scale_inf", "forecast_weight_negative", "mixture_weight_nan",
+             "split_sum", "split_negative", "forecast_weight_negative", "mixture_weight_nan",
              "contrast_weight_inf", "noise_negative", "noise_nan", "learning_rate_nan"],
     )
     def test_out_of_range_names_the_key(self, section, patch, named):

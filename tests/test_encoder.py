@@ -214,16 +214,6 @@ class TestEncode:
         with pytest.raises(ConfigError, match="schedule"):
             ModelConfig(hidden=3, layers=3, kernel_size=2, dilations=(1, 2))
 
-    def test_residual_flag_changes_output_not_shape(self):
-        base_cfg = ModelConfig(hidden=3, layers=2, kernel_size=2, dilations=(1, 2))
-        res_cfg = ModelConfig(hidden=3, layers=2, kernel_size=2, dilations=(1, 2), residual=True)
-        params, _ = build_encoder(13, base_cfg)
-        x = np.abs(rng(18).standard_normal((4, 2, 2, 1)))
-        plain = enc.encode(Tensor(x), params.input_proj, params.layers, base_cfg)
-        skip = enc.encode(Tensor(x), params.input_proj, params.layers, res_cfg)
-        assert plain.shape == skip.shape
-        assert not np.allclose(plain.data, skip.data)
-
     def test_gradients_pass_finite_difference_check(self):
         cfg = ModelConfig(hidden=3, layers=2, kernel_size=2, dilations=(1, 2))
         params, builder = build_encoder(14, cfg)
@@ -252,7 +242,6 @@ SMALL = ModelConfig(hidden=16, layers=3, kernel_size=2, dilations=(1, 2, 4), mix
 # (model config, input steps, nodes, modalities, batch)
 PLAN_CASES = {
     "small-train": (SMALL, 8, 6, 3, 16),
-    "residual": (ModelConfig(hidden=8, layers=3, dilations=(1, 2, 4), residual=True), 8, 4, 3, 3),
     "kernel3": (ModelConfig(hidden=6, layers=2, kernel_size=3, dilations=(1, 3)), 9, 4, 3, 3),
     # T=6 with dilations (1, 4): no output reads input steps 2 and 3
     "skips-inputs": (ModelConfig(hidden=6, layers=2, dilations=(1, 4)), 6, 4, 3, 3),
@@ -327,9 +316,8 @@ class TestTimePlan:
 # (model config, flags, input steps, nodes, modalities, batch)
 FUSED_CASES = {
     "small-train": (SMALL, AblationFlags(), 8, 6, 3, 16),
-    "residual-kernel3": (
-        ModelConfig(hidden=6, layers=2, kernel_size=3, dilations=(1, 3), residual=True),
-        AblationFlags(), 9, 4, 3, 3,
+    "kernel3": (
+        ModelConfig(hidden=6, layers=2, kernel_size=3, dilations=(1, 3)), AblationFlags(), 9, 4, 3, 3
     ),
     "skips-inputs": (ModelConfig(hidden=6, layers=2, dilations=(1, 4)), AblationFlags(), 6, 4, 3, 3),
     # the unshared aux encoder runs the fused layers with its own parameters
@@ -378,7 +366,7 @@ class TestFusedLayer:
 
         monkeypatch.setattr(tensor, "_make", counting_make)
         forward_pass(params, SMALL, AblationFlags(), LossWeights(), x, y, mask_uniforms=u)
-        assert sum(taped) == 182
+        assert sum(taped) == 174
 
 
 def recorded_pass(monkeypatch, keep: bool):

@@ -145,21 +145,6 @@ class TestLoss:
             loss = mssl.mssl_loss(fused, context, w3)
         assert abs(float(loss.data) - 4 * math.log(2)) < 1e-12  # positives only
 
-    def test_average_negatives_rescales_only_negative_terms(self):
-        b = rng(19)
-        fused = b.standard_normal((1, 1, 1, 3, 2))
-        context = b.random((1, 3, 2))
-        w3 = np.zeros((2, 2))
-        plain = float(mssl.mssl_loss(Tensor(fused), Tensor(context), Tensor(w3)).data)
-        averaged = float(
-            mssl.mssl_loss(
-                Tensor(fused), Tensor(context), Tensor(w3), average_negatives=True
-            ).data
-        )
-        anchors = 3
-        assert abs(plain - anchors * 3 * math.log(2)) < 1e-12
-        assert abs(averaged - anchors * 2 * math.log(2)) < 1e-12
-
     def test_batch_mean_reduction(self):
         b = rng(20)
         one = b.standard_normal((1, 1, 2, 2, 3))

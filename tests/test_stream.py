@@ -21,7 +21,6 @@ from test_model import TINY
 
 CONFIGS = {
     "tiny": TINY,
-    "residual": ModelConfig(hidden=4, layers=2, kernel_size=2, dilations=(1, 2), residual=True),
     "kernel3": ModelConfig(hidden=4, layers=2, kernel_size=3, dilations=(1, 3)),
     # the time plan of a single window skips input steps 2 and 3
     "plan-drops-steps": ModelConfig(hidden=4, layers=2, kernel_size=2, dilations=(1, 4)),
@@ -102,7 +101,7 @@ def test_streamed_predictions_match_the_per_window_path(name, stream_calls):
 
 
 def test_repeated_evaluates_are_byte_identical():
-    cfg, prepared, params = case("residual")
+    cfg, prepared, params = case("tiny")
     first = split_predictions(params, cfg, prepared, "test", batch_size=3)
     second = split_predictions(params, cfg, prepared, "test", batch_size=3)
     assert first.tobytes() == second.tobytes()
@@ -158,7 +157,7 @@ def test_stride_two_windows_fall_back(batch_size, stream_calls):
 
 
 def test_training_pass_ignores_the_stream(stream_calls):
-    cfg, prepared, params = case("residual")
+    cfg, prepared, params = case("tiny")
     ws = prepared.splits["train"]
     x, y = ws.x[:4], ws.y[:4]
     uniforms = np.random.default_rng(3).random(x.shape)
