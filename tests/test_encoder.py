@@ -412,3 +412,14 @@ def test_activations_no_backward_reads_are_freed_once_consumed(monkeypatch):
     # the same gradients, bit for bit, as the engine whose graph edges held their parent tensors
     digest = hashlib.sha256(b"".join(grads[name].tobytes() for name in sorted(grads))).hexdigest()
     assert digest == "09fe6782195f25456790b0cde7235700c8747d6c1bf73ef0938e51f5f5b36138"
+
+
+def test_grid_wider_than_hidden_gradients_are_pinned():
+    # N=6 > hidden 4, so spatial attention rebuilds P in backward; M=3 <= 4 keeps it
+    cfg = ModelConfig(hidden=4, layers=2, kernel_size=2, dilations=(1, 2), mixture_components=2)
+    params, x, y, u = small_train_batch(cfg, AblationFlags(), cfg.receptive_field, 6, 3, 4)
+    res = forward_pass(params, cfg, AblationFlags(), LossWeights(), x, y, mask_uniforms=u)
+    grads = gradients(res.total, params.named)
+    arrays = [res.total.data, res.predictions.data] + [grads[name] for name in sorted(grads)]
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert digest == "8537e3ffcb11087648bbcf2a8a7d3f6d1c6727dda0b2d12384d569be96499140"

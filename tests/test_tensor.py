@@ -223,6 +223,19 @@ class TestKernels:
         wide = rng(62).standard_normal(1000) * 40
         assert np.array_equal(_bits(T.sigmoid(T.Tensor(wide)).data), _bits(self.old_sigmoid(wide)))
 
+    @pytest.mark.parametrize("columns", [1, 2, 3, 4, 5, 6, 7, 8, 98])
+    def test_row_max_is_bit_equal_to_np_max(self, columns):
+        r = rng(63)
+        values = np.concatenate([_SPECIAL, r.standard_normal(6)])
+        rows = r.choice(values, size=(400, columns))
+        rows[:3, 0] = [np.nan, np.inf, -0.0]  # rows that start with a special value
+        rows[3], rows[4], rows[5] = -0.0, -np.inf, np.nan
+        rows[6, ::2], rows[6, 1::2] = -0.0, 0.0  # signed zeros only
+        rows[7, -1] = np.nan  # a NaN in the last column
+        got, want = T._row_max(rows), np.max(rows, axis=-1, keepdims=True)
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
 
 def _offset(a):
     # keep relu/clip inputs away from their kinks
@@ -357,6 +370,32 @@ def test_no_op_node_holds_a_tensor(name):
     out = _OP_CASES[name](x)
     assert out.requires_grad
     assert held_tensors(out._node) == []
+
+
+def closure_arrays(fn) -> list[np.ndarray]:
+    """The arrays a backward closure holds, in its cells and in the closures those hold."""
+    found, stack = [], [fn]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif callable(value) and getattr(value, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in value.__closure__)
+    return found
+
+
+@pytest.mark.parametrize("extent, keeps", [(6, False), (5, False), (4, True), (3, True)])
+def test_attention_keeps_p_only_when_no_larger_than_v(extent, keeps):
+    # C = 4: P [2, A, A] is kept when A <= C, rebuilt in backward otherwise
+    x = T.Tensor(rng(34).standard_normal((2, extent, 12)), requires_grad=True)
+    out = T.attention(x, axis=-2)
+    held = [
+        a for a in closure_arrays(out._node.backward)
+        if a.shape == (2, extent, extent) and not np.shares_memory(a, x.data)
+    ]
+    assert len(held) == (1 if keeps else 0)
 
 
 def test_gradient_linearity():
