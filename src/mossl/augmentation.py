@@ -7,7 +7,8 @@ time/node/modality embedding to form the augmented input.  The mask is
 computed in one place, ``mask_from_uniforms``, from U(0,1) draws made before
 the pass; the keep factor and every caller read that mask.  The mask is a
 hard draw, so no gradient reaches the relevance: the forward pass computes
-it from detached inputs, and the relevance weight keeps its initial values.
+it under ``no_grad``, and the relevance weight is a constant drawn from the
+seed, not a parameter.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ class EmbeddingParams:
     modality: Tensor  # [M, hidden]
 
 
-def modality_relevance(h_detached: Tensor, relevance_weight: Tensor) -> Tensor:
+def modality_relevance(h: Tensor, relevance_weight: Tensor) -> Tensor:
     """Softmax relevance over the modality axis: [..., T', N, M, C] -> [..., T', N, M].
 
-    ``h_detached`` is the stop-gradient of the original-view representation.
+    ``h`` is the original-view representation.
     """
     w = reshape(relevance_weight, (relevance_weight.shape[0], 1))
-    v = h_detached @ w  # [..., T', N, M, 1]
+    v = h @ w  # [..., T', N, M, 1]
     v = reshape(v, v.shape[:-1])
     return softmax(v, axis=-1)
 

@@ -3,8 +3,8 @@
 The config dataclasses are the schema.  Parsing, unknown-key rejection and
 the hashed effective view are all derived from their fields and type
 hints, so a field cannot be parsed and then left out of the hash.  Unknown
-keys and values of the wrong type are rejected with the dotted key; the raw
-text is kept verbatim for persistence into run directories.
+keys and values of the wrong type are rejected with the dotted key.  A run
+directory persists the effective view, so it re-parses to the run's hash.
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    raw_text: str = ""
 
     def effective_dict(self) -> dict:
-        """Fully defaulted view of the configuration, used for hashing."""
+        """Fully defaulted view of the configuration, hashed and persisted into run directories."""
         return _plain(self)
 
     def config_hash(self) -> str:
@@ -60,17 +59,12 @@ class RunConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _schema_fields(cls) -> list:
-    """Fields that appear in the JSON document; ``raw_text`` is bookkeeping."""
-    return [f for f in fields(cls) if f.name != "raw_text"]
-
-
 def _plain(value):
     """JSON form of a config value: the inverse of ``_coerce``."""
     if isinstance(value, SplitSpec):
         return [value.train, value.val, value.test]
     if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in _schema_fields(value)}
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, (tuple, np.ndarray)):
         return np.asarray(value).tolist()
     return value
@@ -87,7 +81,7 @@ def _build(cls, section, path: str):
     context = path or "config root"
     if not isinstance(section, dict):
         raise ConfigError(f"{context} must be a JSON object, got {section!r}")
-    schema = _schema_fields(cls)
+    schema = fields(cls)
     _check_keys(section, [f.name for f in schema], context)
     hints = typing.get_type_hints(cls)
     kwargs = {}
@@ -136,7 +130,6 @@ def parse_config(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     cfg = _build(RunConfig, doc, "")
-    cfg.raw_text = text
     data = cfg.data
     if data.kind not in ("synthetic", "csv", "prepared"):
         raise ConfigError(f"data.kind must be synthetic, csv, or prepared; got {data.kind!r}")

@@ -16,7 +16,7 @@ from . import mssl as mssl_mod
 from .errors import ConfigError, NumericalError, require_at_least_one, require_non_negative
 from .parallel import run_shards
 from .rng import derive_rng
-from .tensor import Tensor, backward, linear, parameter, relu, reshape, stop_gradient, with_gradients
+from .tensor import Tensor, backward, linear, no_grad, parameter, relu, reshape, with_gradients
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ class PredictorParams:
 
 @dataclass
 class ModelParams:
-    """Every learnable tensor, addressable by unique name for serialization."""
+    """``named`` holds every learnable tensor by unique name; ``relevance_weight`` is a constant."""
 
     encoder: enc.EncoderParams
     predictor: PredictorParams
@@ -172,10 +172,13 @@ class _Builder:
         self.named[name] = t
         return t
 
-    def uniform(self, name: str, shape: tuple[int, ...], fan_in: int) -> Tensor:
+    def draw(self, name: str, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
         rng = derive_rng(self.seed, "init", name)
         bound = (1.0 / fan_in) ** 0.5
-        return self._register(name, parameter(rng.uniform(-bound, bound, size=shape)))
+        return rng.uniform(-bound, bound, size=shape)
+
+    def uniform(self, name: str, shape: tuple[int, ...], fan_in: int) -> Tensor:
+        return self._register(name, parameter(self.draw(name, shape, fan_in)))
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> Tensor:
         return self._register(name, parameter(np.zeros(shape)))
@@ -245,7 +248,7 @@ def init_params(
             node=b.uniform("embedding.node", (dims.nodes, hidden), hidden),
             modality=b.uniform("embedding.modality", (dims.modalities, hidden), hidden),
         )
-        params.relevance_weight = b.uniform("relevance.weight", (hidden,), hidden)
+        params.relevance_weight = Tensor(b.draw("relevance.weight", (hidden,), hidden))
     if flags.unshared_view:
         params.aux_encoder = b.encoder("aux_encoder", model_cfg, c_in=1)
     if flags.gssl_enabled:
@@ -366,9 +369,9 @@ def _forward_batch(
     if training:
         h_second = None
         if flags.masked_view:
-            # detached inputs: the relevance and the mask probability record no tape node
-            phi = aug.modality_relevance(stop_gradient(h), stop_gradient(params.relevance_weight))
-            prob = aug.input_mask_probability(phi, x_t.shape[-3])
+            with no_grad():  # the mask is a hard draw: its relevance and probability record no tape
+                phi = aug.modality_relevance(h, params.relevance_weight)
+                prob = aug.input_mask_probability(phi, x_t.shape[-3])
             if mask_uniforms is None:
                 raise ConfigError("training with masking needs mask_uniforms")
             result.mask = aug.mask_from_uniforms(prob, mask_uniforms)
@@ -394,13 +397,17 @@ def _forward_batch(
         if not np.isfinite(part.data):
             raise NumericalError(f"{name} loss is non-finite")
     result.parts = parts
-    if parts:
-        total = None
-        for name, part in parts.items():
-            term = part * weights[name]
-            total = term if total is None else total + term
-        result.total = total
+    result.total = _weighted_total(parts, weights)
     return result
+
+
+def _weighted_total(parts: dict, weights: LossWeights):
+    """Σ ``weights[name]`` · part, or None: of tensors in a batch, of float64s across shards."""
+    total = None
+    for name, part in parts.items():
+        term = part * weights[name]
+        total = term if total is None else total + term
+    return total
 
 
 def _forward_sharded(
@@ -457,12 +464,9 @@ def _forward_sharded(
         result.mixture = gssl_mod.MixtureState(
             *(joined([getattr(s.mixture, f) for s in shards]) for f in ("gamma", "mu", "sigma2"))
         )
-    total = None
-    for name in first.parts:
-        value = np.mean(np.stack([s.parts[name].data for s in shards]))
-        result.parts[name] = Tensor(value)
-        term = value * weights[name]
-        total = term if total is None else total + term
+    values = {name: np.mean(np.stack([s.parts[name].data for s in shards])) for name in first.parts}
+    result.parts = {name: Tensor(value) for name, value in values.items()}
+    total = _weighted_total(values, weights)
     summed = grads[0]
     for more in grads[1:]:
         for name, g in more.items():
@@ -473,6 +477,6 @@ def _forward_sharded(
 
 
 def _bind(params: ModelParams) -> ModelParams:
-    """``params`` with every tensor replaced by a fresh leaf over the same array."""
+    """``params`` with each tensor of ``named`` replaced by a fresh leaf over the same array."""
     fresh = {id(t): Tensor(t.data, requires_grad=t.requires_grad) for t in params.named.values()}
     return copy.deepcopy(params, fresh)

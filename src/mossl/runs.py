@@ -98,11 +98,11 @@ def run_training(
     quiet: bool = False,
     prepared: PreparedData | None = None,
 ) -> tuple[Path, TrainResult]:
-    """Train per config and persist config copy, history, checkpoint, metrics."""
+    """Train per config and persist the effective config, history, checkpoint, metrics."""
     if prepared is None:
         prepared = prepared_from_config(cfg)
     run_dir = new_run_dir(out_root, cfg.name)
-    (run_dir / "config.json").write_text(cfg.raw_text or json.dumps(cfg.effective_dict(), indent=2))
+    (run_dir / "config.json").write_text(json.dumps(cfg.effective_dict(), indent=2))
     result = train(prepared, cfg.model, cfg.train, cfg.seed, quiet=quiet)
     (run_dir / "history.json").write_text(json.dumps(result.history, indent=2))
     save_checkpoint(run_dir / "checkpoint.mossl", cfg, result, prepared.stats)
@@ -158,10 +158,12 @@ def _manifest_fields(manifest) -> tuple[AblationFlags, ModelDims, NormStats]:
             f"format version {manifest.get('format_version')} "
             f"is not supported (expected {CHECKPOINT_VERSION})"
         )
-    required = ("tensors", "norm_mean", "norm_std", "dims", "ablation")
+    required = ("tensors", "norm_mean", "norm_std", "seed", "dims", "ablation")
     missing = [key for key in required if key not in manifest]
     if missing:
         raise CheckpointError(f"manifest lacks {missing}")
+    if type(manifest["seed"]) is not int:
+        raise CheckpointError(f"manifest seed is not an int: {manifest['seed']!r}")
     entries = manifest["tensors"]
     if not isinstance(entries, list) or not all(
         isinstance(e, dict) and {"name", "shape"} <= e.keys() for e in entries
@@ -234,7 +236,8 @@ def load_run_params(cfg: RunConfig, checkpoint_path: str | Path, prepared: Prepa
                 f"dimensions {manifest['dims']} do not match the configured dataset "
                 f"{dataclasses.asdict(expected)}"
             )
-        params = init_params(cfg.model, dims, flags, seed=0)
+        # the run's seed redraws the constants no checkpoint stores: the relevance weight
+        params = init_params(cfg.model, dims, flags, seed=manifest["seed"])
         missing = [n for n in params.named if n not in arrays]
         extra = [n for n in arrays if n not in params.named]
         if missing or extra:
@@ -373,9 +376,6 @@ def run_ablation(cfg: RunConfig, out_root: str | Path, quiet: bool = False) -> P
         variant_cfg = dataclasses.replace(cfg)
         variant_cfg.train = dataclasses.replace(cfg.train, ablation=flags)
         variant_cfg.name = variant
-        # persist the effective flags, not the base config's verbatim text,
-        # so a variant run directory reproduces the variant
-        variant_cfg.raw_text = ""
         if not quiet:
             logger.info("ablation variant %s", variant)
         run_dir, result = run_training(variant_cfg, root, quiet=quiet, prepared=prepared)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -175,25 +176,26 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-_recording = True
+# whether ops record tape nodes; per context, so one thread's no_grad leaves the others recording
+_recording: ContextVar[bool] = ContextVar("mossl_recording", default=True)
 
 
 @contextmanager
 def no_grad() -> Iterator[None]:
-    """Record no autodiff graph inside the block.
+    """Record no autodiff graph inside the block, in this context only.
 
     Every op still computes its output, but the result is a plain tensor:
     no parents, no backward closure, ``requires_grad`` False.  An
     intermediate array is then freed as soon as nothing reads it, instead
-    of living on the tape until the result goes away.  Nests, and restores
-    the previous state on exit, also when the block raises.
+    of living on the tape until the result goes away.  Other threads keep
+    recording; a shard started inside inherits it.  Nests, and restores the
+    previous state on exit, also when the block raises.
     """
-    global _recording
-    previous, _recording = _recording, False
+    token = _recording.set(False)
     try:
         yield
     finally:
-        _recording = previous
+        _recording.reset(token)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -202,7 +204,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     The node records the parents' nodes only, so the tape holds no parent array.
     """
     out = Tensor(data)
-    if _recording and any(p.requires_grad for p in parents):
+    if _recording.get() and any(p.requires_grad for p in parents):
         out._node = _Node(tuple(p._node for p in parents if p.requires_grad), backward_fn)
     return out
 
@@ -536,10 +538,6 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
         node.accumulate(g * mask)
 
     return _make(out, (x,), backward_fn)
-
-
-def stop_gradient(x: Tensor) -> Tensor:
-    return Tensor(x.data)
 
 
 # -- shape manipulation ---------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, exit codes included."""
 
 import contextlib
+import io
 import json
 import struct
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from mossl import runs as runs_module
 from mossl.cli import main
 from mossl.config import load_config
-from mossl.container import load_tensor
+from mossl.container import load_tensor, write_tensor
 from mossl.data import load_csv, save_prepared
 
 
@@ -131,9 +132,22 @@ class TestTrainEval:
                      "metrics-test.csv", "metrics-test.json",
                      "metrics-val.csv", "metrics-val.json"):
             assert (run_dir / name).exists(), name
-        assert json.loads((run_dir / "config.json").read_text()) == tiny_config()
+        saved = load_config(run_dir / "config.json")
+        assert saved.effective_dict() == load_config(cfg).effective_dict()
         history = json.loads((run_dir / "history.json").read_text())
         assert len(history) == 2
+
+    def test_saved_config_hashes_to_the_checkpoint_of_a_seed_override(self, tmp_path):
+        cfg = write_config(tmp_path, tiny_config())
+        runs = tmp_path / "runs"
+        assert run(["train", "--config", cfg, "--out", runs, "--seed", "5", "--quiet"]) == 0
+        run_dir = single_run_dir(runs)
+        saved = load_config(run_dir / "config.json")
+        raw = (run_dir / "checkpoint.mossl").read_bytes()
+        (length,) = struct.unpack("<I", raw[8:12])
+        manifest = json.loads(raw[12 : 12 + length])
+        assert saved.seed == manifest["seed"] == 5
+        assert saved.config_hash() == manifest["config_hash"]
 
     def test_eval_reproduces_training_val_metrics(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_config())
@@ -260,6 +274,15 @@ def _manifest_with(key, value):
     return _manifest_edit(lambda manifest: manifest.update({key: value}))
 
 
+def _with_relevance_weight(blob):
+    """The checkpoint with a ``relevance.weight`` tensor, which is a constant, not a parameter."""
+    entry = {"name": "relevance.weight", "shape": [4]}
+    edited = _manifest_edit(lambda manifest: manifest["tensors"].append(entry))(blob)
+    tail = io.BytesIO()
+    write_tensor(tail, np.zeros(4))
+    return edited + tail.getvalue()
+
+
 # name -> edit of the checkpoint bytes, or None for no file at all
 CHECKPOINT_DAMAGE = {
     "cut-at-10-bytes": lambda blob: blob[:10],
@@ -275,6 +298,9 @@ CHECKPOINT_DAMAGE = {
     "manifest-ablation-not-bool": _manifest_edit(lambda m: m["ablation"].update(no_mssl="no")),
     "manifest-shape-disagrees": _manifest_edit(lambda m: m["tensors"][0].update(shape=[1])),
     "manifest-dims-not-ints": _manifest_edit(lambda m: m["dims"].update(nodes=3.0)),
+    "manifest-without-seed": _manifest_without("seed"),
+    "manifest-seed-not-int": _manifest_with("seed", 5.0),
+    "carries-relevance-weight": _with_relevance_weight,
 }
 
 

@@ -15,7 +15,8 @@ from mossl.model import (
     init_params,
     predict,
 )
-from mossl.tensor import Tensor, gradients
+from mossl.runs import ABLATION_VARIANTS
+from mossl.tensor import Tensor, backward, gradients
 
 
 def rng(seed=0):
@@ -128,13 +129,16 @@ class TestForwardPass:
         with pytest.raises(NumericalError, match="forecast"):
             forward_pass(params, TINY, flags, LossWeights(), x, y, training=True)
 
-    def test_relevance_weight_gets_exactly_zero_gradient(self):
-        flags = AblationFlags()
-        params = init_params(TINY, DIMS, flags, seed=5)
+    def test_loss_reaches_every_parameter_in_every_variant(self):
         x, y, u = tiny_batch(5)
-        res = forward_pass(params, TINY, flags, LossWeights(), x, y, mask_uniforms=u, training=True)
-        grads = gradients(res.total, params.named)
-        assert np.array_equal(grads["relevance.weight"], np.zeros(4))
+        for variant, flags in ABLATION_VARIANTS.items():
+            params = init_params(TINY, DIMS, flags, seed=5)
+            assert "relevance.weight" not in params.named
+            assert (params.relevance_weight is not None) == flags.masked_view, variant
+            res = forward_pass(params, TINY, flags, LossWeights(), x, y, mask_uniforms=u)
+            backward(res.total)
+            unreached = [name for name, p in params.named.items() if p.grad is None]
+            assert unreached == [], variant
 
     def test_embeddings_receive_gradient_through_augmented_loss(self):
         flags = AblationFlags()
@@ -173,12 +177,12 @@ class TestAblations:
             (
                 AblationFlags(no_av=True),
                 {"forecast", "contrast"},
-                ("mixture.", "embedding.", "relevance.", "aux_encoder."),
+                ("mixture.", "embedding.", "aux_encoder."),
             ),
             (
                 AblationFlags(no_mg=True),
                 {"forecast", "contrast"},
-                ("mixture.", "embedding.", "relevance."),
+                ("mixture.", "embedding."),
             ),
             (
                 AblationFlags(no_gssl=True),

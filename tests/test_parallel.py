@@ -59,13 +59,8 @@ def train_step(cfg, flags, params, x, y, u):
 
 
 def is_sharded(res, params) -> bool:
-    """The sharded path's loss is one node whose parents are master parameters' nodes.
-
-    Its parents are the parameters the windows' graphs reach; the batched
-    path's loss has interior nodes as parents.
-    """
-    parents = {id(n) for n in res.total._node.parents}
-    return bool(parents) and parents <= {id(p._node) for p in params.named.values()}
+    """The sharded path's loss is one node whose parents are the master parameters' nodes."""
+    return {id(n) for n in res.total._node.parents} == {id(p._node) for p in params.named.values()}
 
 
 def shard_all(monkeypatch):

@@ -17,10 +17,10 @@ from mossl.runs import export_representations, run_training
 from test_acceptance import TINY_CONFIG_TEXT
 from test_cli import run, single_run_dir, tiny_config, write_config
 
-TINY_CHECKPOINT = "3c579b3c529fa8d438cf597ae01dc04bc1a3acae81da16a02cf5bb3dc92fa387"
-TINY_PAYLOAD = "a4537d7f7913896387f13227333d206c6674b81ae8eff8cb3d91c5bb60f390f9"
-CLI_TINY_CHECKPOINT = "fc7fca8f836a2af6c80fd983449e7f3053ea97bcf8dd636cea1e66f06a507152"
-CLI_TINY_PAYLOAD = "94bd3ee3d3b352172fd194f61b54447c282c64b9c1255417cb8d11c54cc30ca4"
+TINY_CHECKPOINT = "7d417201830d50caf5c0b86149a78da5d47459380372f5373128b2fd302639be"
+TINY_PAYLOAD = "e1b7d06241c1e308527ca5f10c9664b8978ad35be2b24dd676ae69604cef7a7a"
+CLI_TINY_CHECKPOINT = "a6dacff8adac45fd437e088b7ce1346e88fd1b952652c5e6ee264a8f876efb9c"
+CLI_TINY_PAYLOAD = "7689467625e3674a098b291bc5834e3bcacd5726472f14cb6eec4d55451b2a59"
 # export-repr of the tiny checkpoint: the augmented view runs the drawn mask
 TINY_EXPORT = {
     "export.json": "0694cbf7688339ee922c37ae5741aaebeb86ed9113b049ec19cd55f36e182113",

