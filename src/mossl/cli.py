@@ -89,12 +89,7 @@ def cmd_synth(args) -> int:
     out = _out_root(args)
     out.mkdir(parents=True, exist_ok=True)
     save_csv(series, out / "series.csv")
-    descriptor = {
-        "nodes": series.node_ids,
-        "modalities": series.modality_names,
-        "frequency": "1",
-        "split": [cfg.data.split.train, cfg.data.split.val, cfg.data.split.test],
-    }
+    descriptor = {"nodes": series.node_ids, "modalities": series.modality_names}
     (out / "descriptor.json").write_text(json.dumps(descriptor, indent=2))
     logger.info("wrote %s and %s", out / "series.csv", out / "descriptor.json")
     return 0

@@ -25,33 +25,23 @@ if TYPE_CHECKING:
 
 @dataclass
 class ProjectionParams:
-    """Non-linear projection relu(x.w + b)."""
+    """Weight and bias of a projection x.w + b."""
 
     weight: Tensor  # [C_in, C_out]
     bias: Tensor  # [C_out]
 
 
 @dataclass
-class AttentionParams:
-    query: ProjectionParams
-    key: ProjectionParams
-    value: ProjectionParams
-
-
-@dataclass
 class ConvParams:
-    filter_kernel: Tensor  # [k, 3*hidden, hidden]
-    filter_bias: Tensor  # [hidden]
-    gate_kernel: Tensor  # [k, 3*hidden, hidden]
-    gate_bias: Tensor  # [hidden]
-    mix_weight: Tensor  # [hidden, hidden], the 1x1 output convolution
-    mix_bias: Tensor  # [hidden]
+    kernel: Tensor  # [k, 3*hidden, 2*hidden], filter|gate on the output axis
+    bias: Tensor  # [2*hidden]
+    mix: ProjectionParams  # [hidden, hidden], the 1x1 output convolution
 
 
 @dataclass
 class LayerParams:
-    modality_attn: AttentionParams
-    spatial_attn: AttentionParams
+    modality_attn: ProjectionParams  # [hidden, 3*hidden], q|k|v on the output axis
+    spatial_attn: ProjectionParams
     conv: ConvParams
 
 
@@ -70,25 +60,24 @@ def input_project(x: Tensor, p: ProjectionParams) -> Tensor:
     return linear(x, p.weight, p.bias, relu=True)
 
 
-def axis_attention(h: Tensor, attn: AttentionParams, axis: int) -> Tensor:
+def axis_attention(h: Tensor, attn: ProjectionParams, axis: int) -> Tensor:
     """Scaled dot-product attention over one axis of [..., A, ..., C].
 
     Every slot on the attended axis queries all slots of the same axis at
     fixed positions of the remaining axes; rows of the score matrix are
     softmax-normalized.  The query, key and value projections act on the
-    channel axis, so they run as one packed GEMM on ``h`` in its own layout.
+    channel axis, so ``attn`` holds them packed as q|k|v and they run as one
+    GEMM on ``h`` in its own layout.
     """
-    weight = concat([attn.query.weight, attn.key.weight, attn.value.weight], axis=1)
-    bias = concat([attn.query.bias, attn.key.bias, attn.value.bias], axis=0)
-    return attention(linear(h, weight, bias, relu=True), axis)
+    return attention(linear(h, attn.weight, attn.bias, relu=True), axis)
 
 
-def modality_attention(h: Tensor, attn: AttentionParams) -> Tensor:
+def modality_attention(h: Tensor, attn: ProjectionParams) -> Tensor:
     """Attend over the modality axis of [..., T, N, M, C]."""
     return axis_attention(h, attn, axis=-2)
 
 
-def spatial_attention(h: Tensor, attn: AttentionParams) -> Tensor:
+def spatial_attention(h: Tensor, attn: ProjectionParams) -> Tensor:
     """Attend over the node axis of [..., T, N, M, C]."""
     return axis_attention(h, attn, axis=-3)
 
@@ -97,13 +86,11 @@ def temporal_conv_layer(h_cat: Tensor, conv: ConvParams, taps) -> Tensor:
     """Gated causal convolution along time of [..., T, N, M, 3C] -> [..., T', N, M, C].
 
     ``taps`` picks the output steps from the input steps; see
-    ``dilated_causal_conv``.  Filter and gate run as one convolution with
-    their kernels side by side.
+    ``dilated_causal_conv``.  Filter and gate run as one convolution, as
+    ``conv.kernel`` holds their kernels side by side.
     """
-    kernel = concat([conv.filter_kernel, conv.gate_kernel], axis=-1)
-    bias = concat([conv.filter_bias, conv.gate_bias], axis=0)
-    pre = dilated_causal_conv(h_cat, kernel, taps, axis=-4) + bias
-    return linear(gated_tanh(pre), conv.mix_weight, conv.mix_bias)
+    pre = dilated_causal_conv(h_cat, conv.kernel, taps, axis=-4) + conv.bias
+    return linear(gated_tanh(pre), conv.mix.weight, conv.mix.bias)
 
 
 def _conv_input(h: Tensor, layer: LayerParams) -> Tensor:

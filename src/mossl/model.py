@@ -134,10 +134,8 @@ class LossWeights:
 
 @dataclass
 class PredictorParams:
-    hidden_weight: Tensor  # [hidden, hidden]
-    hidden_bias: Tensor  # [hidden]
-    out_weight: Tensor  # [hidden, O]
-    out_bias: Tensor  # [O]
+    hidden: enc.ProjectionParams  # [hidden, hidden]
+    out: enc.ProjectionParams  # [hidden, O]
 
 
 @dataclass
@@ -189,22 +187,29 @@ class _Builder:
             bias=self.zeros(f"{name}.bias", (c_out,)),
         )
 
-    def attention(self, name: str, hidden: int) -> enc.AttentionParams:
-        return enc.AttentionParams(
-            query=self.projection(f"{name}.query", hidden, hidden),
-            key=self.projection(f"{name}.key", hidden, hidden),
-            value=self.projection(f"{name}.value", hidden, hidden),
+    def packed(self, name: str, parts: list[str], shape: tuple[int, ...], fan_in: int) -> Tensor:
+        """One parameter holding ``parts`` side by side on the last axis, each ``shape``.
+
+        Each part draws from the stream of the separate tensor it was before
+        the weights were packed, so initial values keep their bits.
+        """
+        data = np.concatenate([self.draw(part, shape, fan_in) for part in parts], axis=-1)
+        return self._register(name, parameter(data))
+
+    def attention(self, name: str, hidden: int) -> enc.ProjectionParams:
+        parts = [f"{name}.{role}.weight" for role in ("query", "key", "value")]
+        return enc.ProjectionParams(
+            weight=self.packed(f"{name}.weight", parts, (hidden, hidden), hidden),
+            bias=self.zeros(f"{name}.bias", (3 * hidden,)),
         )
 
     def conv(self, name: str, kernel_size: int, hidden: int) -> enc.ConvParams:
-        fan = kernel_size * 3 * hidden
+        shape = (kernel_size, 3 * hidden, hidden)
+        parts = [f"{name}.filter", f"{name}.gate"]
         return enc.ConvParams(
-            filter_kernel=self.uniform(f"{name}.filter", (kernel_size, 3 * hidden, hidden), fan),
-            filter_bias=self.zeros(f"{name}.filter_bias", (hidden,)),
-            gate_kernel=self.uniform(f"{name}.gate", (kernel_size, 3 * hidden, hidden), fan),
-            gate_bias=self.zeros(f"{name}.gate_bias", (hidden,)),
-            mix_weight=self.uniform(f"{name}.mix.weight", (hidden, hidden), hidden),
-            mix_bias=self.zeros(f"{name}.mix.bias", (hidden,)),
+            kernel=self.packed(f"{name}.kernel", parts, shape, kernel_size * 3 * hidden),
+            bias=self.zeros(f"{name}.bias", (2 * hidden,)),
+            mix=self.projection(f"{name}.mix", hidden, hidden),
         )
 
     def encoder(self, prefix: str, cfg: ModelConfig, c_in: int) -> enc.EncoderParams:
@@ -234,10 +239,8 @@ def init_params(
 
     encoder = b.encoder("encoder", model_cfg, c_in=1)
     predictor = PredictorParams(
-        hidden_weight=b.uniform("predictor.hidden.weight", (hidden, hidden), hidden),
-        hidden_bias=b.zeros("predictor.hidden.bias", (hidden,)),
-        out_weight=b.uniform("predictor.out.weight", (hidden, dims.output_steps), hidden),
-        out_bias=b.zeros("predictor.out.bias", (dims.output_steps,)),
+        hidden=b.projection("predictor.hidden", hidden, hidden),
+        out=b.projection("predictor.out", hidden, dims.output_steps),
     )
     params = ModelParams(encoder=encoder, predictor=predictor)
 
@@ -278,8 +281,8 @@ def predict(h: Tensor, predictor: PredictorParams) -> Tensor:
     [B, 1, N, M, hidden] -> [B, O, N, M].
     """
     squeezed = reshape(h, h.shape[:-4] + h.shape[-3:])
-    hidden_act = linear(relu(squeezed), predictor.hidden_weight, predictor.hidden_bias, relu=True)
-    out = linear(hidden_act, predictor.out_weight, predictor.out_bias)  # [B, N, M, O]
+    hidden_act = linear(relu(squeezed), predictor.hidden.weight, predictor.hidden.bias, relu=True)
+    out = linear(hidden_act, predictor.out.weight, predictor.out.bias)  # [B, N, M, O]
     return out.transpose((0, 3, 1, 2))
 
 

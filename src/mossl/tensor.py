@@ -110,10 +110,6 @@ class Tensor:
     def _backward(self, fn) -> None:
         self._node.backward = fn
 
-    def _accumulate(self, g: np.ndarray, owned: bool = True) -> None:
-        """Add ``g`` into this tensor's gradient; see ``_Node.accumulate``."""
-        self._node.accumulate(g, owned)
-
     # -- operators -----------------------------------------------------
 
     def __add__(self, other):

@@ -64,16 +64,24 @@ def projection_loop(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(h @ w + b, 0.0)
 
 
-def attention_loop(h: np.ndarray, wq, bq, wk, bk, wv, bv) -> np.ndarray:
+def qkv(attn) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) of the query, key and value thirds of a packed projection, as views."""
+    return list(zip(np.split(attn.weight.data, 3, axis=1), np.split(attn.bias.data, 3)))
+
+
+def filter_gate(conv) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(kernel, bias) of the filter and gate halves of a packed conv, as views."""
+    return list(zip(np.split(conv.kernel.data, 2, axis=-1), np.split(conv.bias.data, 2)))
+
+
+def attention_loop(h: np.ndarray, attn) -> np.ndarray:
     """Per-cell double-loop attention over the second-to-last axis of [..., A, C]."""
     lead = h.shape[:-2]
     a, c = h.shape[-2:]
     out = np.zeros_like(h)
     for idx in np.ndindex(lead):
         block = h[idx]  # [A, C]
-        q = projection_loop(block, wq, bq)
-        k = projection_loop(block, wk, bk)
-        v = projection_loop(block, wv, bv)
+        q, k, v = (projection_loop(block, w, b) for w, b in qkv(attn))
         for i in range(a):
             scores = np.array([np.dot(q[i], k[j]) / math.sqrt(c) for j in range(a)])
             e = np.exp(scores - scores.max())
@@ -137,8 +145,10 @@ def axis_attention_unfused(h, attn, axis):
     """Attention over one axis with three projections of the swapped view and separate nodes."""
     axis = axis % h.ndim
     moved = h if axis == h.ndim - 2 else h.swapaxes(axis, -2)
+    c = h.shape[-1]
     q, k, v = (
-        linear(moved, p.weight, p.bias, relu=True) for p in (attn.query, attn.key, attn.value)
+        linear(moved, attn.weight[:, s : s + c], attn.bias[s : s + c], relu=True)
+        for s in (0, c, 2 * c)
     )
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
     out = softmax(scores, axis=-1) @ v
@@ -155,7 +165,7 @@ def tanh(x):
     out = np.tanh(x.data)
 
     def backward_fn(g):
-        x._accumulate(g * (1.0 - out * out))
+        x._node.accumulate(g * (1.0 - out * out))
 
     return tensor._make(out, (x,), backward_fn)
 
@@ -163,9 +173,10 @@ def tanh(x):
 def temporal_conv_unfused(h_cat, conv, taps):
     """Gated conv along axis -2 of the time-swapped input, filter and gate convolved apart."""
     moved = h_cat.swapaxes(-4, -2)  # [..., M, N, T, 3C]
-    filtered = dilated_causal_conv(moved, conv.filter_kernel, taps=taps) + conv.filter_bias
-    gated = dilated_causal_conv(moved, conv.gate_kernel, taps=taps) + conv.gate_bias
-    mixed = linear(tanh(filtered) * sigmoid(gated), conv.mix_weight, conv.mix_bias)
+    c = conv.mix.weight.shape[0]
+    filtered = dilated_causal_conv(moved, conv.kernel[..., :c], taps=taps) + conv.bias[:c]
+    gated = dilated_causal_conv(moved, conv.kernel[..., c:], taps=taps) + conv.bias[c:]
+    mixed = linear(tanh(filtered) * sigmoid(gated), conv.mix.weight, conv.mix.bias)
     return mixed.swapaxes(-4, -2)
 
 

@@ -118,19 +118,15 @@ def test_criterion_3_oracle_equivalence():
 
         builder = _Builder(trial)
         attn = builder.attention("a", 4)
-        wq, bq = attn.query.weight.data, attn.query.bias.data
-        wk, bk = attn.key.weight.data, attn.key.bias.data
-        wv, bv = attn.value.weight.data, attn.value.bias.data
-        for t in (attn.query.bias, attn.key.bias, attn.value.bias):
-            t.data += b.standard_normal(t.shape) * 0.3
+        attn.bias.data += b.standard_normal(attn.bias.shape) * 0.3
 
         h = b.standard_normal((2, 2, 3, 4))  # [T, N, M, C]
         got = enc.modality_attention(Tensor(h), attn).data
-        want = attention_loop(h, wq, bq, wk, bk, wv, bv)
+        want = attention_loop(h, attn)
         worst["modality_attention"] = max(worst["modality_attention"], np.max(np.abs(got - want)))
 
         got = enc.spatial_attention(Tensor(h), attn).data
-        want = attention_loop(np.swapaxes(h, 1, 2), wq, bq, wk, bk, wv, bv)
+        want = attention_loop(np.swapaxes(h, 1, 2), attn)
         worst["spatial_attention"] = max(
             worst["spatial_attention"], np.max(np.abs(got - np.swapaxes(want, 1, 2)))
         )

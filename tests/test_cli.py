@@ -75,6 +75,7 @@ class TestSynthAndPrepare:
         assert run(["synth", "--config", cfg, "--out", out, "--quiet"]) == 0
         assert (out / "series.csv").exists()
         descriptor = json.loads((out / "descriptor.json").read_text())
+        assert set(descriptor) == {"nodes", "modalities"}
         assert descriptor["nodes"] == ["n0", "n1", "n2"]
         assert descriptor["modalities"] == ["mod0", "mod1"]
 

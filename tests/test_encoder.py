@@ -28,7 +28,9 @@ from oracles import (
     dense_taps,
     encode_every_step,
     encode_unfused,
+    filter_gate,
     projection_loop,
+    qkv,
 )
 
 
@@ -77,37 +79,31 @@ class TestModalityAttention:
         attn, _ = make_attention(0, 4)
         h = rng(5).standard_normal((2, 3, 1, 4))
         out = enc.modality_attention(Tensor(h), attn)
-        expected = projection_loop(
-            h, attn.value.weight.data, attn.value.bias.data
-        )
+        expected = projection_loop(h, *qkv(attn)[2])
         assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_zero_query_gives_uniform_mixture(self):
         attn, _ = make_attention(1, 4)
-        attn.query.weight.data[...] = 0.0
-        attn.query.bias.data[...] = 0.0
+        for query in qkv(attn)[0]:
+            query[...] = 0.0
         h = rng(6).standard_normal((2, 2, 3, 4))
         out = enc.modality_attention(Tensor(h), attn)
-        values = projection_loop(h, attn.value.weight.data, attn.value.bias.data)
+        values = projection_loop(h, *qkv(attn)[2])
         assert np.allclose(out.data, values.mean(axis=-2, keepdims=True), atol=1e-12)
 
     def test_matches_double_loop_oracle(self):
         attn, _ = make_attention(2, 5)
         h = rng(7).standard_normal((2, 2, 3, 5))
         out = enc.modality_attention(Tensor(h), attn)
-        expected = attention_loop(
-            h,
-            attn.query.weight.data, attn.query.bias.data,
-            attn.key.weight.data, attn.key.bias.data,
-            attn.value.weight.data, attn.value.bias.data,
-        )
+        expected = attention_loop(h, attn)
         assert np.max(np.abs(out.data - expected)) < 1e-10
 
     def test_weights_are_row_stochastic(self):
         attn, _ = make_attention(3, 4)
         # every value is relu(0 + 1) = 1, so each output entry is a row sum of P
-        attn.value.weight.data[...] = 0.0
-        attn.value.bias.data[...] = 1.0
+        value_weight, value_bias = qkv(attn)[2]
+        value_weight[...] = 0.0
+        value_bias[...] = 1.0
         h = rng(8).standard_normal((2, 2, 3, 4))
         sums = enc.axis_attention(Tensor(h), attn, axis=-2).data
         assert np.max(np.abs(sums - 1.0)) < 1e-12
@@ -127,12 +123,7 @@ class TestSpatialAttention:
         h = rng(10).standard_normal((2, 3, 2, 4))  # [T, N, M, C]
         out = enc.spatial_attention(Tensor(h), attn)
         moved = np.swapaxes(h, 1, 2)  # attend over N at fixed (t, m)
-        expected = attention_loop(
-            moved,
-            attn.query.weight.data, attn.query.bias.data,
-            attn.key.weight.data, attn.key.bias.data,
-            attn.value.weight.data, attn.value.bias.data,
-        )
+        expected = attention_loop(moved, attn)
         assert np.max(np.abs(out.data - np.swapaxes(expected, 1, 2))) < 1e-10
 
     def test_node_permutation_equivariance(self):
@@ -153,20 +144,21 @@ class TestTemporalConv:
     def test_saturated_gate_reduces_to_filter_path(self):
         hidden = 3
         conv = make_conv(7, 2, hidden)
-        conv.gate_bias.data[...] = 60.0  # sigmoid -> 1 regardless of input
+        (filter_kernel, filter_bias), (_, gate_bias) = filter_gate(conv)
+        gate_bias[...] = 60.0  # sigmoid -> 1 regardless of input
         h = rng(12).standard_normal((1, 5, 2, 2, 3 * hidden))
         out = enc.temporal_conv_layer(Tensor(h), conv, dense_taps(5, 2, 1))
         moved = np.swapaxes(h, -4, -2)
-        filt = conv_loop(moved, conv.filter_kernel.data, 1) + conv.filter_bias.data
-        expected = np.tanh(filt) @ conv.mix_weight.data + conv.mix_bias.data
+        filt = conv_loop(moved, filter_kernel, 1) + filter_bias
+        expected = np.tanh(filt) @ conv.mix.weight.data + conv.mix.bias.data
         assert np.max(np.abs(out.data - np.swapaxes(expected, -4, -2))) < 1e-10
 
     def test_zero_filter_zero_biases_give_zero(self):
         hidden = 2
         conv = make_conv(8, 2, hidden)
-        conv.filter_kernel.data[...] = 0.0
-        conv.filter_bias.data[...] = 0.0
-        conv.mix_bias.data[...] = 0.0
+        for filter_part in filter_gate(conv)[0]:
+            filter_part[...] = 0.0
+        conv.mix.bias.data[...] = 0.0
         h = rng(13).standard_normal((4, 2, 2, 3 * hidden))
         out = enc.temporal_conv_layer(Tensor(h), conv, dense_taps(4, 2, 1))
         assert np.allclose(out.data, 0.0, atol=1e-15)
@@ -177,9 +169,10 @@ class TestTemporalConv:
         h = rng(14).standard_normal((6, 2, 2, 3 * hidden))
         out = enc.temporal_conv_layer(Tensor(h), conv, dense_taps(6, 2, 2))
         moved = np.swapaxes(h, -4, -2)
-        filt = conv_loop(moved, conv.filter_kernel.data, 2) + conv.filter_bias.data
-        gate = conv_loop(moved, conv.gate_kernel.data, 2) + conv.gate_bias.data
-        expected = (np.tanh(filt) * expit(gate)) @ conv.mix_weight.data + conv.mix_bias.data
+        (filter_kernel, filter_bias), (gate_kernel, gate_bias) = filter_gate(conv)
+        filt = conv_loop(moved, filter_kernel, 2) + filter_bias
+        gate = conv_loop(moved, gate_kernel, 2) + gate_bias
+        expected = (np.tanh(filt) * expit(gate)) @ conv.mix.weight.data + conv.mix.bias.data
         assert np.max(np.abs(out.data - np.swapaxes(expected, -4, -2))) < 1e-10
 
 
@@ -366,7 +359,7 @@ class TestFusedLayer:
 
         monkeypatch.setattr(tensor, "_make", counting_make)
         forward_pass(params, SMALL, AblationFlags(), LossWeights(), x, y, mask_uniforms=u)
-        assert sum(taped) == 174
+        assert sum(taped) == 138
 
 
 def recorded_pass(monkeypatch, keep: bool):
@@ -411,7 +404,7 @@ def test_activations_no_backward_reads_are_freed_once_consumed(monkeypatch):
     assert all(np.array_equal(grads[name], kept_grads[name]) for name in grads)
     # the same gradients, bit for bit, as the engine whose graph edges held their parent tensors
     digest = hashlib.sha256(b"".join(grads[name].tobytes() for name in sorted(grads))).hexdigest()
-    assert digest == "9df233f71ac510995df80c72bb7535b9a81ecde47376102ff78ab00e7711f44f"
+    assert digest == "4320379f9bde412f5d911a7541d6f5d9aa2d1eac3890095a29c6a6520713c8a6"
 
 
 def test_grid_wider_than_hidden_gradients_are_pinned():
@@ -422,4 +415,4 @@ def test_grid_wider_than_hidden_gradients_are_pinned():
     grads = gradients(res.total, params.named)
     arrays = [res.total.data, res.predictions.data] + [grads[name] for name in sorted(grads)]
     digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-    assert digest == "db78bd4c51f1b1011cb7c4a2597b1023e933903b47e0b6f2008c794de052f8a7"
+    assert digest == "e70517794599e1e97b0999f779360a33d96def636c51fc5e82ebe9e0f4601bd9"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mossl.augmentation import uniforms_for_mask
+from mossl.encoder import ProjectionParams
 from mossl.errors import ConfigError, NumericalError
 from mossl.model import (
     AblationFlags,
@@ -15,6 +16,7 @@ from mossl.model import (
     init_params,
     predict,
 )
+from mossl.rng import derive_rng
 from mossl.runs import ABLATION_VARIANTS
 from mossl.tensor import Tensor, backward, gradients
 
@@ -37,20 +39,21 @@ def tiny_batch(seed=0, batch=2, dims=DIMS):
 
 def make_predictor(hidden, horizons, seed=1):
     b = rng(seed)
-    return PredictorParams(
-        hidden_weight=Tensor(b.standard_normal((hidden, hidden))),
-        hidden_bias=Tensor(b.standard_normal(hidden)),
-        out_weight=Tensor(b.standard_normal((hidden, horizons))),
-        out_bias=Tensor(b.standard_normal(horizons)),
-    )
+
+    def projection(c_out):
+        return ProjectionParams(
+            weight=Tensor(b.standard_normal((hidden, c_out))), bias=Tensor(b.standard_normal(c_out))
+        )
+
+    return PredictorParams(hidden=projection(hidden), out=projection(horizons))
 
 
 class TestPredict:
     def test_all_zero_weights_constant_output(self):
         p = make_predictor(4, 3)
-        for t in (p.hidden_weight, p.hidden_bias, p.out_weight):
+        for t in (p.hidden.weight, p.hidden.bias, p.out.weight):
             t.data[...] = 0.0
-        p.out_bias.data[...] = [1.0, 2.0, 3.0]
+        p.out.bias.data[...] = [1.0, 2.0, 3.0]
         h = Tensor(rng(2).standard_normal((2, 1, 3, 2, 4)))
         out = predict(h, p)
         assert out.shape == (2, 3, 3, 2)
@@ -59,10 +62,10 @@ class TestPredict:
 
     def test_selector_reproduces_one_channel(self):
         p = make_predictor(4, 1)
-        p.hidden_weight.data[...] = np.eye(4)
-        p.hidden_bias.data[...] = 0.0
-        p.out_weight.data[...] = np.array([[0.0], [1.0], [0.0], [0.0]])
-        p.out_bias.data[...] = 0.0
+        p.hidden.weight.data[...] = np.eye(4)
+        p.hidden.bias.data[...] = 0.0
+        p.out.weight.data[...] = np.array([[0.0], [1.0], [0.0], [0.0]])
+        p.out.bias.data[...] = 0.0
         h_data = np.abs(rng(3).standard_normal((2, 1, 3, 2, 4)))
         out = predict(Tensor(h_data), p)
         assert np.allclose(out.data[:, 0], h_data[:, 0, :, :, 1], atol=1e-12)
@@ -73,9 +76,9 @@ class TestPredict:
         out = predict(Tensor(h_data), p)
         squeezed = h_data[:, 0]
         hidden = np.maximum(
-            np.maximum(squeezed, 0.0) @ p.hidden_weight.data + p.hidden_bias.data, 0.0
+            np.maximum(squeezed, 0.0) @ p.hidden.weight.data + p.hidden.bias.data, 0.0
         )
-        expected = hidden @ p.out_weight.data + p.out_bias.data
+        expected = hidden @ p.out.weight.data + p.out.bias.data
         assert np.max(np.abs(out.data - np.moveaxis(expected, -1, 1))) < 1e-12
 
 
@@ -161,6 +164,29 @@ class TestForwardPass:
         assert first.mask.any() and not first.mask.all()
         assert np.array_equal(second.mask, first.mask)
         assert float(first.total.data) == float(second.total.data)
+
+
+class TestInit:
+    def test_packed_weights_hold_the_draws_of_their_parts(self):
+        seed, hidden, k = 14, TINY.hidden, TINY.kernel_size
+        named = init_params(TINY, DIMS, AblationFlags(), seed=seed).named
+        layer = "encoder.layers.1"
+
+        def drawn(label, shape, fan_in):
+            bound = (1.0 / fan_in) ** 0.5
+            return derive_rng(seed, "init", label).uniform(-bound, bound, shape)
+
+        attn = named[f"{layer}.modality_attn.weight"].data
+        for part, role in zip(np.split(attn, 3, axis=1), ("query", "key", "value")):
+            want = drawn(f"{layer}.modality_attn.{role}.weight", (hidden, hidden), hidden)
+            assert np.array_equal(part, want), role
+        kernel = named[f"{layer}.conv.kernel"].data
+        for part, role in zip(np.split(kernel, 2, axis=-1), ("filter", "gate")):
+            want = drawn(f"{layer}.conv.{role}", (k, 3 * hidden, hidden), k * 3 * hidden)
+            assert np.array_equal(part, want), role
+        for name, width in (("modality_attn", 3), ("spatial_attn", 3), ("conv", 2)):
+            bias = named[f"{layer}.{name}.bias"].data
+            assert bias.shape == (width * hidden,) and not bias.any(), name
 
 
 class TestAblations:

@@ -17,10 +17,10 @@ from mossl.runs import export_representations, run_training
 from test_acceptance import TINY_CONFIG_TEXT
 from test_cli import run, single_run_dir, tiny_config, write_config
 
-TINY_CHECKPOINT = "7d417201830d50caf5c0b86149a78da5d47459380372f5373128b2fd302639be"
-TINY_PAYLOAD = "e1b7d06241c1e308527ca5f10c9664b8978ad35be2b24dd676ae69604cef7a7a"
-CLI_TINY_CHECKPOINT = "a6dacff8adac45fd437e088b7ce1346e88fd1b952652c5e6ee264a8f876efb9c"
-CLI_TINY_PAYLOAD = "7689467625e3674a098b291bc5834e3bcacd5726472f14cb6eec4d55451b2a59"
+TINY_CHECKPOINT = "35c1746abf376bec30195fd812359b0aea727cca6934e00c5b5d1e1481011ae5"
+TINY_PAYLOAD = "f3ecec1bf10ca0dc62160fa5fd0107d5ea9ec5a28e7f6eee8cbe105d73be1cb9"
+CLI_TINY_CHECKPOINT = "b940fa66ef14344a501aa84d54537f51f5d98079080176285676ca77d1bdc8b5"
+CLI_TINY_PAYLOAD = "5512da7933d7b6b68037a147221d58d6c1c9db86a0b9c68247601aea248b74b3"
 # export-repr of the tiny checkpoint: the augmented view runs the drawn mask
 TINY_EXPORT = {
     "export.json": "0694cbf7688339ee922c37ae5741aaebeb86ed9113b049ec19cd55f36e182113",

@@ -269,11 +269,21 @@ class TestCheckpoint:
 
     def test_restore_rejects_missing_parameter(self, tmp_path):
         cfg, prepared, result, path = tiny_run(tmp_path, seed=9)
+        named = dict(result.params.named)
         result.params.named.pop("fusion.pair_matrix")
         save_checkpoint(path, cfg, result, prepared.stats)
         with pytest.raises(CheckpointError, match="fusion.pair_matrix") as err:
             load_run_params(cfg, path, prepared)
         assert str(path) in str(err.value)
+        # the layout that stored the filter kernel apart from the gate kernel
+        old = {"encoder.layers.0.conv.kernel": "encoder.layers.0.conv.filter"}
+        result.params.named = {old.get(name, name): t for name, t in named.items()}
+        save_checkpoint(path, cfg, result, prepared.stats)
+        with pytest.raises(CheckpointError) as err:
+            load_run_params(cfg, path, prepared)
+        assert str(path) in str(err.value)
+        assert "missing ['encoder.layers.0.conv.kernel']" in str(err.value)
+        assert "unexpected ['encoder.layers.0.conv.filter']" in str(err.value)
 
     def test_restore_rejects_shape_mismatch(self, tmp_path):
         cfg, prepared, result, path = tiny_run(tmp_path, seed=10)
