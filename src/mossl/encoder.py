@@ -67,9 +67,9 @@ def axis_attention(h: Tensor, attn: ProjectionParams, axis: int) -> Tensor:
     fixed positions of the remaining axes; rows of the score matrix are
     softmax-normalized.  The query, key and value projections act on the
     channel axis, so ``attn`` holds them packed as q|k|v and they run as one
-    GEMM on ``h`` in its own layout.
+    GEMM on ``h`` in its own layout, inside the one ``attention`` node.
     """
-    return attention(linear(h, attn.weight, attn.bias, relu=True), axis)
+    return attention(h, attn.weight, attn.bias, axis)
 
 
 def modality_attention(h: Tensor, attn: ProjectionParams) -> Tensor:

@@ -10,9 +10,11 @@ gradient, its parents' nodes and its backward closure, and a ``Tensor``
 holds its array and its node.  A closure keeps only the arrays its formula
 reads (an operand, the op's own output, or a mask it formed) plus the
 parents' nodes to add gradients into; it never keeps a tensor.
-``attention`` keeps its probability matrix only when that is no larger than
-its values (attended extent A <= channels C); otherwise its backward
-rebuilds it from the queries and keys in the input it already keeps.
+``attention`` projects its input to q|k|v itself and keeps that input's
+array and its weight's and bias's arrays.  It keeps the projection and the
+probability matrix only when the matrix is no larger than the values
+(attended extent A <= channels C); otherwise it keeps the softmax row max
+and row sum alone, and its backward rebuilds the projection and the matrix.
 ``add``, ``sub``, ``concat``, ``reshape``, ``transpose``, ``take``,
 ``broadcast_to`` and the reductions keep shapes only.  An activation that no
 backward formula reads, such as an attention output consumed by ``concat``,
@@ -380,45 +382,82 @@ def _row_max(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def attention(qkv: Tensor, axis: int) -> Tensor:
-    """Scaled dot-product self-attention over ``axis`` of packed [..., 3C] queries, keys, values.
+def attention(x: Tensor, weight: Tensor, bias: Tensor, axis: int) -> Tensor:
+    """Scaled dot-product self-attention over ``axis`` of relu(x @ weight + bias), read as q|k|v.
 
-    Channels ``[:C]``, ``[C:2C]`` and ``[2C:]`` hold q, k and v.  Every slot on
-    the attended axis mixes the values of all slots on that axis at fixed
-    positions of the other axes with weights P = softmax(q k^T / sqrt(C));
-    the output is [..., C] with the attended axis in place.  One graph node:
-    it keeps its input, not its output, and keeps P only when the attended
-    extent A is at most C, so that P [..., A, A] is no larger than v
-    [..., A, C].  Otherwise the backward rebuilds P from the q and k views of
-    the input by the same ops in the same order, so P and every gradient are
-    the same bits either way.  The backward forms dS = P * (dP - rowsum(dP * P))
-    as in the FlashAttention backward, without tiling.
+    ``weight`` is [C_in, 3C] and ``bias`` [3C], shared by every leading cell
+    of ``x`` as in ``linear``; channels ``[:C]``, ``[C:2C]`` and ``[2C:]`` of
+    the projection hold q, k and v.  Every slot on the attended axis mixes
+    the values of all slots on that axis at fixed positions of the other
+    axes with weights P = softmax(q k^T / sqrt(C)); the output is [..., C]
+    with the attended axis in place.
+
+    One graph node.  It keeps the arrays of ``x``, ``weight`` and ``bias``,
+    not its output.  When the attended extent A is at most C, so that P
+    [..., A, A] is no larger than v [..., A, C], it also keeps the
+    projection and P.  Otherwise it keeps only P's row max and row sum
+    ([..., A, 1] each), and the backward rebuilds the projection and then P
+    by the same ops in the same order, so P and every gradient are the same
+    bits either way.  The rebuild reads the weight and bias arrays at
+    backward time, so they must not change between the forward and its
+    backward.  The backward forms dS = P * (dP - rowsum(dP * P)) as in the
+    FlashAttention backward, without tiling, then the projection's
+    gradients by ``linear``'s formulas.
     """
-    axis = axis % qkv.ndim
-    if axis == qkv.ndim - 1 or qkv.shape[-1] % 3:
-        raise ShapeError(f"attention needs [..., 3C] channels and another axis, got {qkv.shape}")
-    c = qkv.shape[-1] // 3
+    axis = axis % x.ndim
+    if axis == x.ndim - 1:
+        raise ShapeError(f"attention needs an axis other than the channels of {x.shape}")
+    if weight.ndim != 2 or x.shape[-1] != weight.shape[0] or weight.shape[1] % 3:
+        raise ShapeError(
+            f"attention needs a [C_in, 3C] weight for input {x.shape}, got {weight.shape}"
+        )
+    c = weight.shape[1] // 3
     scale = 1.0 / math.sqrt(c)
-    packed, node = qkv.data, qkv._node
-    moved = np.swapaxes(packed, axis, -2)  # [..., A, 3C], a view
-    q, k, v = moved[..., :c], moved[..., c : 2 * c], moved[..., 2 * c :]
+    xd, wd, bd = x.data, weight.data, bias.data
+    nx, nw, nb = x._node, weight._node, bias._node
 
-    def probabilities() -> np.ndarray:
+    def project() -> np.ndarray:
+        """relu(x @ weight + bias) by ``linear``'s ops."""
+        qkv = _shared_weight_matmul(xd, wd)
+        qkv += bd
+        np.fmax(qkv, 0.0, out=qkv)
+        return qkv
+
+    def views(qkv: np.ndarray) -> tuple[np.ndarray, ...]:
+        """q, k and v of the projection as [..., A, C] views."""
+        moved = np.swapaxes(qkv, axis, -2)
+        return moved[..., :c], moved[..., c : 2 * c], moved[..., 2 * c :]
+
+    def probabilities(q, k, row_max=None, row_sum=None) -> tuple[np.ndarray, ...]:
+        """P, its row max and its row sum; a rebuild passes the forward's max and sum in."""
         p = q @ np.swapaxes(k, -1, -2)
         p *= scale
-        p -= _row_max(p)
+        if row_max is None:
+            row_max = _row_max(p)
+        p -= row_max
         np.exp(p, out=p)
-        p /= np.sum(p, axis=-1, keepdims=True)
-        return p
+        if row_sum is None:
+            row_sum = np.sum(p, axis=-1, keepdims=True)
+        p /= row_sum
+        return p, row_max, row_sum
 
-    p = probabilities()
+    qkv = project()
+    q, k, v = views(qkv)
+    p, row_max, row_sum = probabilities(q, k)
     out = np.swapaxes(p @ v, axis, -2)
-    kept = p if moved.shape[-2] <= c else None
+    rebuild = q.shape[-2] > c
+    kept = (row_max, row_sum) if rebuild else (qkv, p)
 
     def backward_fn(g):
-        p = probabilities() if kept is None else kept
+        if rebuild:
+            qkv = project()
+            q, k, v = views(qkv)
+            p = probabilities(q, k, *kept)[0]
+        else:
+            qkv, p = kept
+            q, k, v = views(qkv)
         g = np.swapaxes(g, axis, -2)
-        grad = np.empty_like(packed)
+        grad = np.empty_like(qkv)
         gm = np.swapaxes(grad, axis, -2)
         np.matmul(np.swapaxes(p, -1, -2), g, out=gm[..., 2 * c :])
         ds = g @ np.swapaxes(v, -1, -2)  # dP
@@ -427,9 +466,12 @@ def attention(qkv: Tensor, axis: int) -> Tensor:
         ds *= scale
         np.matmul(ds, k, out=gm[..., :c])
         np.matmul(np.swapaxes(ds, -1, -2), q, out=gm[..., c : 2 * c])
-        node.accumulate(grad)
+        grad *= qkv > 0.0  # the relu's pass-through mask
+        _shared_weight_backward(grad, nx, nw, xd, wd)
+        if nb is not None:
+            nb.accumulate(_rows(grad).sum(axis=0))
 
-    return _make(out, (qkv,), backward_fn)
+    return _make(out, (x, weight, bias), backward_fn)
 
 
 # -- nonlinearities -------------------------------------------------------

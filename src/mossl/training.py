@@ -62,18 +62,28 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update of ``m``, ``v`` and every parameter, in place.
+
+    The in-place ops are those of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g²
+    and p -= lr m̂ / (sqrt(v̂) + eps), in that order, so they give its bits.
+    """
     state.step += 1
     t = state.step
     correct1 = 1.0 - beta1**t
     correct2 = 1.0 - beta2**t
     for name, p in named.items():
-        g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[name] / correct1
-        v_hat = state.v[name] / correct2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        step = m / correct1
+        step *= lr
+        denom = v / correct2
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p.data -= step
 
 
 # -- metrics ------------------------------------------------------------------

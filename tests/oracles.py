@@ -6,7 +6,8 @@ the two encoders at the end, built from the package's tape ops:
 ``encode_every_step`` reruns the package's own encoder blocks without the
 time plan, so the plan can be checked against the dense computation, and
 ``encode_unfused`` composes each block from small ops, so the fused blocks
-can be checked against it.
+can be checked against it.  ``packed_attention`` is the attention half of
+the two-node form ``tensor.attention`` fuses, for a bit-for-bit check.
 """
 
 import math
@@ -153,6 +154,42 @@ def axis_attention_unfused(h, attn, axis):
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
     out = softmax(scores, axis=-1) @ v
     return out if axis == h.ndim - 2 else out.swapaxes(axis, -2)
+
+
+def packed_attention(qkv, axis):
+    """Attention over ``axis`` of a packed [..., 3C] q|k|v tensor, as one tape node keeping P.
+
+    After ``linear(..., relu=True)`` it is the two-node form that
+    ``tensor.attention`` fuses, by the same array ops in the same order, so
+    the fused node must match it bit for bit; composed from small tape ops,
+    as ``axis_attention_unfused`` is, it differs in the low bits.
+    """
+    axis = axis % qkv.ndim
+    c = qkv.shape[-1] // 3
+    scale = 1.0 / math.sqrt(c)
+    packed = qkv.data
+    moved = np.swapaxes(packed, axis, -2)
+    q, k, v = moved[..., :c], moved[..., c : 2 * c], moved[..., 2 * c :]
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= scale
+    p -= np.max(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.sum(p, axis=-1, keepdims=True)
+
+    def backward_fn(g):
+        g = np.swapaxes(g, axis, -2)
+        grad = np.empty_like(packed)
+        gm = np.swapaxes(grad, axis, -2)
+        np.matmul(np.swapaxes(p, -1, -2), g, out=gm[..., 2 * c :])
+        ds = g @ np.swapaxes(v, -1, -2)
+        ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
+        ds *= p
+        ds *= scale
+        np.matmul(ds, k, out=gm[..., :c])
+        np.matmul(np.swapaxes(ds, -1, -2), q, out=gm[..., c : 2 * c])
+        qkv._node.accumulate(grad)
+
+    return tensor._make(np.swapaxes(p @ v, axis, -2), (qkv,), backward_fn)
 
 
 def tanh(x):

@@ -359,7 +359,7 @@ class TestFusedLayer:
 
         monkeypatch.setattr(tensor, "_make", counting_make)
         forward_pass(params, SMALL, AblationFlags(), LossWeights(), x, y, mask_uniforms=u)
-        assert sum(taped) == 138
+        assert sum(taped) == 126
 
 
 def recorded_pass(monkeypatch, keep: bool):

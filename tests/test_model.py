@@ -1,5 +1,7 @@
 """Predictor, joint objective, and ablation wiring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,23 @@ class TestForwardPass:
         assert first.mask.any() and not first.mask.all()
         assert np.array_equal(second.mask, first.mask)
         assert float(first.total.data) == float(second.total.data)
+
+    def test_paper_shape_window_train_graph_is_at_most_85_mib(self):
+        # one window's graph is what each core holds during a sharded train step;
+        # it read 105.3 MiB while spatial attention kept its q|k|v projection
+        cfg, flags = ModelConfig(), AblationFlags()
+        dims = ModelDims(input_steps=16, output_steps=3, nodes=98, modalities=4)
+        params = init_params(cfg, dims, flags, seed=5)
+        x, y, u = tiny_batch(5, batch=1, dims=dims)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = forward_pass(params, cfg, flags, LossWeights(), x, y, mask_uniforms=u)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert res.total.requires_grad
+        assert held <= 85 * 2**20, f"{held / 2**20:.1f} MiB"
 
 
 class TestInit:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mossl import tensor as T
 from mossl.errors import ConfigError, DomainError, ShapeError
-from oracles import conv_loop, dense_taps, fd_gradient
+from oracles import conv_loop, dense_taps, fd_gradient, packed_attention
 
 
 def rng(seed=0):
@@ -275,11 +275,20 @@ _OP_CASES = {
     # x is the 2-D weight shared by every leading cell of a rank-3 operand
     "matmul_shared_weight": lambda x: T.Tensor(rng(32).standard_normal((2, 4, 3))) @ x[0],
     # packed q/k/v with C=2, attending over the axis next to the channels
-    "attention": lambda x: T.attention(x @ T.Tensor(rng(33).standard_normal((3, 6))), axis=-2),
-    # and over axis 0 of a [3, 2, 6] input, another axis between it and the channels;
+    "attention": lambda x: T.attention(
+        x, T.Tensor(rng(33).standard_normal((3, 6))), T.Tensor(rng(38).standard_normal(6)), axis=-2
+    ),
+    # and over axis 0 of a [3, 2, 3] input, another axis between it and the channels;
     # the half-scale projection keeps the logits, and so the difference error, small
     "attention_far_axis": lambda x: T.attention(
-        (x @ T.Tensor(0.5 * rng(34).standard_normal((3, 6)))).transpose((1, 0, 2)), axis=0
+        x.transpose((1, 0, 2)),
+        T.Tensor(0.5 * rng(34).standard_normal((3, 6))),
+        T.Tensor(rng(39).standard_normal(6)),
+        axis=0,
+    ),
+    # x as the weight and, through a row of it, the bias; A = C = 2 keeps P
+    "attention_weight": lambda x: T.attention(
+        T.Tensor(rng(42).standard_normal((2, 2, 3))), x.reshape(3, 6), x.reshape(3, 6)[1], axis=-2
     ),
     "gated_tanh": lambda x: T.gated_tanh(x @ T.Tensor(rng(35).standard_normal((3, 4)))),
     "conv": lambda x: T.dilated_causal_conv(
@@ -389,14 +398,53 @@ def closure_arrays(fn) -> list[np.ndarray]:
 
 @pytest.mark.parametrize("extent, keeps", [(6, False), (5, False), (4, True), (3, True)])
 def test_attention_keeps_p_only_when_no_larger_than_v(extent, keeps):
-    # C = 4: P [2, A, A] is kept when A <= C, rebuilt in backward otherwise
-    x = T.Tensor(rng(34).standard_normal((2, extent, 12)), requires_grad=True)
-    out = T.attention(x, axis=-2)
-    held = [
-        a for a in closure_arrays(out._node.backward)
-        if a.shape == (2, extent, extent) and not np.shares_memory(a, x.data)
-    ]
-    assert len(held) == (1 if keeps else 0)
+    # C = 4: the projection [2, A, 3C] and P [2, A, A] are kept when A <= C and
+    # rebuilt in backward otherwise; the input x is kept either way
+    x = T.Tensor(rng(34).standard_normal((2, extent, 5)), requires_grad=True)
+    w = T.Tensor(rng(35).standard_normal((5, 12)), requires_grad=True)
+    b = T.Tensor(rng(36).standard_normal(12), requires_grad=True)
+    out = T.attention(x, w, b, axis=-2)
+    held = [a.shape for a in closure_arrays(out._node.backward) if not np.shares_memory(a, x.data)]
+    assert held.count((2, extent, 12)) == (1 if keeps else 0)
+    assert held.count((2, extent, extent)) == (1 if keeps else 0)
+
+
+@pytest.mark.parametrize("extent", [3, 4, 7])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_attention_matches_projection_then_packed_attention_bit_for_bit(extent, axis):
+    # C = 4: A = 3 and 4 keep the projection and P, A = 7 rebuilds them
+    shape = [3, 3, 5]
+    shape[axis] = extent
+    data = rng(60).standard_normal(shape)
+    probe = T.Tensor(rng(61).standard_normal(shape[:-1] + [4]))
+    w_data, b_data = rng(62).standard_normal((5, 12)), rng(63).standard_normal(12)
+
+    def run(fused: bool):
+        x, w, b = (T.Tensor(a, requires_grad=True) for a in (data, w_data, b_data))
+        if fused:
+            out = T.attention(x, w, b, axis=axis)
+        else:
+            out = packed_attention(T.linear(x, w, b, relu=True), axis=axis)
+        loss = (out * probe).sum()
+        return [loss.data] + list(T.gradients(loss, {"x": x, "w": w, "b": b}).values())
+
+    for got, want in zip(run(True), run(False), strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "w_shape, axis",
+    [
+        pytest.param((4, 12), -2, id="input-channels-differ-from-weight-rows"),
+        pytest.param((5, 10), -2, id="weight-columns-not-a-multiple-of-3"),
+        pytest.param((5, 12), -1, id="attended-axis-is-the-channel-axis"),
+        pytest.param((5, 12), 2, id="attended-axis-is-the-channel-axis-counted-forward"),
+    ],
+)
+def test_attention_shape_errors(w_shape, axis):
+    x, w, b = T.Tensor(np.ones((2, 3, 5))), T.Tensor(np.ones(w_shape)), T.Tensor(np.ones(w_shape[-1]))
+    with pytest.raises(ShapeError):
+        T.attention(x, w, b, axis=axis)
 
 
 def test_gradient_linearity():
