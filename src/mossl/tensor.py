@@ -12,13 +12,15 @@ reads (an operand, the op's own output, or a mask it formed) plus the
 parents' nodes to add gradients into; it never keeps a tensor.
 ``attention`` projects its input to q|k|v itself and keeps that input's
 array and its weight's and bias's arrays.  It keeps the projection and the
-probability matrix only when the matrix is no larger than the values
-(attended extent A <= channels C); otherwise it keeps the softmax row max
-and row sum alone, and its backward rebuilds the projection and the matrix.
-``add``, ``sub``, ``concat``, ``reshape``, ``transpose``, ``take``,
-``broadcast_to`` and the reductions keep shapes only.  An activation that no
-backward formula reads, such as an attention output consumed by ``concat``,
-is therefore freed as soon as the caller drops its tensor.
+probability matrix only when both fit one backward block of
+``_BLOCK_BYTES``; otherwise it keeps the softmax row max and row sum alone,
+and its backward rebuilds the projection and the matrix one block at a time
+from the weight and bias arrays, which must therefore not change between a
+forward and its backward.  ``add``, ``sub``, ``concat``, ``reshape``,
+``transpose``, ``take``, ``broadcast_to`` and the reductions keep shapes
+only.  An activation that no backward formula reads, such as an attention
+output consumed by ``concat``, is therefore freed as soon as the caller
+drops its tensor.
 """
 
 from __future__ import annotations
@@ -371,6 +373,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tenso
 # 1.31-1.44 at A=98.
 _ROW_MAX_COLUMNS = 32
 
+# Bytes of one ``attention`` backward block: the lead cells whose q|k|v
+# projection and P fit it are rebuilt and differentiated together, so they
+# stay in one core's L2 (2 MiB per core on the 2-core VM).  Measured there,
+# forward + backward of one paper-shape attention ([1, 16, 98, 4, 48], one
+# BLAS thread, best of 24): over modalities 24.4 ms at 64 KiB, 20.6-21.2 ms
+# at 256 KiB-2 MiB, 23.4 ms at 4 MiB, 17.7 ms keeping q|k|v and P; over
+# nodes 34.9-37.4 ms at 64 KiB-2 MiB, 39.7 ms at 4 MiB, 36.9 ms keeping.
+# Benchmark paper-train peak_rss_mb (two 20 s runs each): 207-212 MB at
+# 256 KiB-2 MiB, 243-246 MB at 4 MiB, 330-337 MB at 16 MiB, where every
+# attention fits one block, and 256-258 MB when only attentions wider than
+# their channels rebuilt; op_s.p50 stayed within run-to-run noise.
+_BLOCK_BYTES = 2 * 2**20
+
 
 def _row_max(p: np.ndarray) -> np.ndarray:
     """``np.max(p, axis=-1, keepdims=True)``, bit for bit, NaN, inf and signed zeros included."""
@@ -393,16 +408,18 @@ def attention(x: Tensor, weight: Tensor, bias: Tensor, axis: int) -> Tensor:
     with the attended axis in place.
 
     One graph node.  It keeps the arrays of ``x``, ``weight`` and ``bias``,
-    not its output.  When the attended extent A is at most C, so that P
-    [..., A, A] is no larger than v [..., A, C], it also keeps the
-    projection and P.  Otherwise it keeps only P's row max and row sum
-    ([..., A, 1] each), and the backward rebuilds the projection and then P
-    by the same ops in the same order, so P and every gradient are the same
-    bits either way.  The rebuild reads the weight and bias arrays at
-    backward time, so they must not change between the forward and its
-    backward.  The backward forms dS = P * (dP - rowsum(dP * P)) as in the
-    FlashAttention backward, without tiling, then the projection's
-    gradients by ``linear``'s formulas.
+    not its output.  The axes before ``axis`` are its lead cells, and a
+    backward block is as many of them as fit ``_BLOCK_BYTES`` with their
+    projection and P.  When every lead cell fits one block, the node also
+    keeps the projection and P.  Otherwise it keeps only P's row max and row
+    sum ([..., A, 1] each), and the backward rebuilds the projection and
+    then P one block at a time, by the same ops in the same order, so P and
+    every gradient are the same bits either way.  The rebuild reads the
+    weight and bias arrays at backward time, so they must not change
+    between the forward and its backward.  Each block forms
+    dS = P * (dP - rowsum(dP * P)) as in the FlashAttention backward and
+    writes its slice of one [..., 3C] gradient buffer; the projection's
+    gradients then run once over that buffer by ``linear``'s formulas.
     """
     axis = axis % x.ndim
     if axis == x.ndim - 1:
@@ -416,16 +433,16 @@ def attention(x: Tensor, weight: Tensor, bias: Tensor, axis: int) -> Tensor:
     xd, wd, bd = x.data, weight.data, bias.data
     nx, nw, nb = x._node, weight._node, bias._node
 
-    def project() -> np.ndarray:
-        """relu(x @ weight + bias) by ``linear``'s ops."""
-        qkv = _shared_weight_matmul(xd, wd)
+    def project(xc: np.ndarray) -> np.ndarray:
+        """relu(xc @ weight + bias) by ``linear``'s ops."""
+        qkv = _shared_weight_matmul(xc, wd)
         qkv += bd
         np.fmax(qkv, 0.0, out=qkv)
         return qkv
 
-    def views(qkv: np.ndarray) -> tuple[np.ndarray, ...]:
-        """q, k and v of the projection as [..., A, C] views."""
-        moved = np.swapaxes(qkv, axis, -2)
+    def views(qkv: np.ndarray, at: int) -> tuple[np.ndarray, ...]:
+        """q, k and v of a projection attended along ``at``, as [..., A, C] views."""
+        moved = np.swapaxes(qkv, at, -2)
         return moved[..., :c], moved[..., c : 2 * c], moved[..., 2 * c :]
 
     def probabilities(q, k, row_max=None, row_sum=None) -> tuple[np.ndarray, ...]:
@@ -441,24 +458,11 @@ def attention(x: Tensor, weight: Tensor, bias: Tensor, axis: int) -> Tensor:
         p /= row_sum
         return p, row_max, row_sum
 
-    qkv = project()
-    q, k, v = views(qkv)
-    p, row_max, row_sum = probabilities(q, k)
-    out = np.swapaxes(p @ v, axis, -2)
-    rebuild = q.shape[-2] > c
-    kept = (row_max, row_sum) if rebuild else (qkv, p)
-
-    def backward_fn(g):
-        if rebuild:
-            qkv = project()
-            q, k, v = views(qkv)
-            p = probabilities(q, k, *kept)[0]
-        else:
-            qkv, p = kept
-            q, k, v = views(qkv)
-        g = np.swapaxes(g, axis, -2)
-        grad = np.empty_like(qkv)
-        gm = np.swapaxes(grad, axis, -2)
+    def backward_into(grad, g, qkv, p, at: int) -> None:
+        """Into ``grad``, the gradient of the pre-relu projection ``qkv`` given the output's ``g``."""
+        q, k, v = views(qkv, at)
+        g = np.swapaxes(g, at, -2)
+        gm = np.swapaxes(grad, at, -2)
         np.matmul(np.swapaxes(p, -1, -2), g, out=gm[..., 2 * c :])
         ds = g @ np.swapaxes(v, -1, -2)  # dP
         ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
@@ -467,6 +471,31 @@ def attention(x: Tensor, weight: Tensor, bias: Tensor, axis: int) -> Tensor:
         np.matmul(ds, k, out=gm[..., :c])
         np.matmul(np.swapaxes(ds, -1, -2), q, out=gm[..., c : 2 * c])
         grad *= qkv > 0.0  # the relu's pass-through mask
+
+    qkv = project(xd)
+    q, k, v = views(qkv, axis)
+    p, row_max, row_sum = probabilities(q, k)
+    out = np.swapaxes(p @ v, axis, -2)
+    cells = math.prod(x.shape[:axis])
+    block = _BLOCK_BYTES // max(1, math.prod(x.shape[axis:-1]) * (3 * c + x.shape[axis]) * 8)
+    one_block = block >= cells
+    kept = (qkv, p) if one_block else (row_max, row_sum)
+
+    def backward_fn(g):
+        grad = np.empty(g.shape[:-1] + (3 * c,))
+        if one_block:
+            backward_into(grad, g, *kept, axis)
+        else:
+            # lead cells merged into axis 0, so the attended axis is axis 1
+            xc, gc, gradc, row_max, row_sum = (
+                a.reshape((cells,) + a.shape[axis:]) for a in (xd, g, grad) + kept
+            )
+            step = max(block, 1)
+            for start in range(0, cells, step):
+                cut = slice(start, start + step)
+                qkv = project(xc[cut])
+                p = probabilities(*views(qkv, 1)[:2], row_max[cut], row_sum[cut])[0]
+                backward_into(gradc[cut], gc[cut], qkv, p, 1)
         _shared_weight_backward(grad, nx, nw, xd, wd)
         if nb is not None:
             nb.accumulate(_rows(grad).sum(axis=0))

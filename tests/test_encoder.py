@@ -407,12 +407,16 @@ def test_activations_no_backward_reads_are_freed_once_consumed(monkeypatch):
     assert digest == "4320379f9bde412f5d911a7541d6f5d9aa2d1eac3890095a29c6a6520713c8a6"
 
 
-def test_grid_wider_than_hidden_gradients_are_pinned():
-    # N=6 > hidden 4, so spatial attention rebuilds P in backward; M=3 <= 4 keeps it
+def test_grid_wider_than_hidden_gradients_are_pinned(monkeypatch):
+    # N=6 > hidden 4 on spatial attention, M=3 <= 4 on modality attention.  Both
+    # fit one backward block and keep their projection and P; with a 1-byte
+    # block both rebuild them one lead cell at a time, to the same bits
     cfg = ModelConfig(hidden=4, layers=2, kernel_size=2, dilations=(1, 2), mixture_components=2)
     params, x, y, u = small_train_batch(cfg, AblationFlags(), cfg.receptive_field, 6, 3, 4)
-    res = forward_pass(params, cfg, AblationFlags(), LossWeights(), x, y, mask_uniforms=u)
-    grads = gradients(res.total, params.named)
-    arrays = [res.total.data, res.predictions.data] + [grads[name] for name in sorted(grads)]
-    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-    assert digest == "e70517794599e1e97b0999f779360a33d96def636c51fc5e82ebe9e0f4601bd9"
+    for budget in (tensor._BLOCK_BYTES, 1):
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
+        res = forward_pass(params, cfg, AblationFlags(), LossWeights(), x, y, mask_uniforms=u)
+        grads = gradients(res.total, params.named)
+        arrays = [res.total.data, res.predictions.data] + [grads[name] for name in sorted(grads)]
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+        assert digest == "e70517794599e1e97b0999f779360a33d96def636c51fc5e82ebe9e0f4601bd9", budget

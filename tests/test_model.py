@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mossl import encoder
 from mossl.augmentation import uniforms_for_mask
 from mossl.encoder import ProjectionParams
 from mossl.errors import ConfigError, NumericalError
@@ -20,7 +21,8 @@ from mossl.model import (
 )
 from mossl.rng import derive_rng
 from mossl.runs import ABLATION_VARIANTS
-from mossl.tensor import Tensor, backward, gradients
+from mossl.tensor import Tensor, attention, backward, gradients
+from test_tensor import closure_arrays
 
 
 def rng(seed=0):
@@ -29,6 +31,7 @@ def rng(seed=0):
 
 TINY = ModelConfig(hidden=4, layers=2, kernel_size=2, dilations=(1, 2), mixture_components=2)
 DIMS = ModelDims(input_steps=4, output_steps=1, nodes=3, modalities=2)
+PAPER_DIMS = ModelDims(input_steps=16, output_steps=3, nodes=98, modalities=4)
 
 
 def tiny_batch(seed=0, batch=2, dims=DIMS):
@@ -167,13 +170,13 @@ class TestForwardPass:
         assert np.array_equal(second.mask, first.mask)
         assert float(first.total.data) == float(second.total.data)
 
-    def test_paper_shape_window_train_graph_is_at_most_85_mib(self):
+    def test_paper_shape_window_train_graph_is_at_most_65_mib(self):
         # one window's graph is what each core holds during a sharded train step;
         # it read 105.3 MiB while spatial attention kept its q|k|v projection
+        # and 79.8 MiB while modality attention did
         cfg, flags = ModelConfig(), AblationFlags()
-        dims = ModelDims(input_steps=16, output_steps=3, nodes=98, modalities=4)
-        params = init_params(cfg, dims, flags, seed=5)
-        x, y, u = tiny_batch(5, batch=1, dims=dims)
+        params = init_params(cfg, PAPER_DIMS, flags, seed=5)
+        x, y, u = tiny_batch(5, batch=1, dims=PAPER_DIMS)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -182,7 +185,30 @@ class TestForwardPass:
         finally:
             tracemalloc.stop()
         assert res.total.requires_grad
-        assert held <= 85 * 2**20, f"{held / 2**20:.1f} MiB"
+        assert held <= 65 * 2**20, f"{held / 2**20:.1f} MiB"
+
+    def test_paper_shape_layer_0_attentions_keep_only_their_input(self, monkeypatch):
+        # at the defaults both attentions of a paper-shape window span several
+        # backward blocks, so each node keeps its input's, weight's and bias's
+        # arrays and the [..., A, 1] row max and row sum, and no projection or P
+        first = {}
+
+        def recorded(x, weight, bias, axis):
+            out = attention(x, weight, bias, axis)
+            inputs = (x.data, weight.data, bias.data)
+            arrays = closure_arrays(out._node.backward)
+            own = [a.shape for a in arrays if not any(np.shares_memory(a, d) for d in inputs)]
+            first.setdefault(axis, own)
+            return out
+
+        monkeypatch.setattr(encoder, "attention", recorded)
+        cfg, flags = ModelConfig(), AblationFlags()
+        params = init_params(cfg, PAPER_DIMS, flags, seed=5)
+        x, y, u = tiny_batch(5, batch=1, dims=PAPER_DIMS)
+        forward_pass(params, cfg, flags, LossWeights(), x, y, mask_uniforms=u)
+        assert sorted(first) == [-3, -2]
+        for axis, held in first.items():
+            assert len(held) == 2 and all(shape[-1] == 1 for shape in held), (axis, held)
 
 
 class TestInit:

@@ -396,39 +396,94 @@ def closure_arrays(fn) -> list[np.ndarray]:
     return found
 
 
-@pytest.mark.parametrize("extent, keeps", [(6, False), (5, False), (4, True), (3, True)])
-def test_attention_keeps_p_only_when_no_larger_than_v(extent, keeps):
-    # C = 4: the projection [2, A, 3C] and P [2, A, A] are kept when A <= C and
-    # rebuilt in backward otherwise; the input x is kept either way
+@pytest.mark.parametrize("extent", [3, 4, 5, 6])
+@pytest.mark.parametrize("blocks", ["one", "many"])
+def test_attention_keeps_projection_and_p_only_in_one_block(monkeypatch, blocks, extent):
+    # C = 4, so A = 3 and 4 are at most C and A = 5 and 6 exceed it; the two
+    # lead cells fit one block of 2 MiB and need two of 1 byte
+    if blocks == "many":
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
     x = T.Tensor(rng(34).standard_normal((2, extent, 5)), requires_grad=True)
     w = T.Tensor(rng(35).standard_normal((5, 12)), requires_grad=True)
     b = T.Tensor(rng(36).standard_normal(12), requires_grad=True)
     out = T.attention(x, w, b, axis=-2)
-    held = [a.shape for a in closure_arrays(out._node.backward) if not np.shares_memory(a, x.data)]
-    assert held.count((2, extent, 12)) == (1 if keeps else 0)
-    assert held.count((2, extent, extent)) == (1 if keeps else 0)
+    inputs = (x.data, w.data, b.data)
+    held = [
+        a.shape
+        for a in closure_arrays(out._node.backward)
+        if not any(np.shares_memory(a, d) for d in inputs)
+    ]
+    if blocks == "one":
+        assert sorted(held) == [(2, extent, extent), (2, extent, 12)]
+    else:
+        assert held == [(2, extent, 1)] * 2
+
+
+def _attention_run(x_data, w_data, b_data, probe, axis, fused=True):
+    """Loss and the x, weight and bias gradients of ``attention`` or its two-node oracle."""
+    x, w, b = (T.Tensor(a, requires_grad=True) for a in (x_data, w_data, b_data))
+    if fused:
+        out = T.attention(x, w, b, axis=axis)
+    else:
+        out = packed_attention(T.linear(x, w, b, relu=True), axis=axis)
+    loss = (out * probe).sum()
+    return [loss.data] + list(T.gradients(loss, {"x": x, "w": w, "b": b}).values())
+
+
+@pytest.mark.parametrize("extent", [3, 7])
+@pytest.mark.parametrize("axis", [0, 1, -2, -3])
+@pytest.mark.parametrize("blocks", ["two", "one-cell-each"])
+def test_blocked_attention_backward_matches_one_block_bit_for_bit(
+    monkeypatch, blocks, axis, extent
+):
+    # C = 4: A = 3 is at most C, A = 7 exceeds it.  Axis 0 has a single lead
+    # cell, so its "two" budget still rebuilds that cell as one block.
+    shape = [2, 3, 2, 3, 5]
+    shape[axis] = extent
+    data = rng(64).standard_normal(shape)
+    probe = T.Tensor(rng(65).standard_normal(shape[:-1] + [4]))
+    w_data, b_data = rng(66).standard_normal((5, 12)), rng(67).standard_normal(12)
+    args = (data, w_data, b_data, probe, axis)
+    whole = _attention_run(*args)
+    oracle = _attention_run(*args, fused=False)
+    lead = math.prod(shape[: axis % len(shape)])
+    cell_bytes = math.prod(shape[axis % len(shape) : -1]) * (12 + extent) * 8
+    budget = cell_bytes * ((lead + 1) // 2) if blocks == "two" and lead > 1 else 1
+    monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
+    blocked = _attention_run(*args)
+    for got, one, want in zip(blocked, whole, oracle, strict=True):
+        assert got.tobytes() == one.tobytes() == want.tobytes()
+
+
+def test_blocked_attention_gradient_matches_central_differences(monkeypatch):
+    # one lead cell per block on axis -3 of a [2, 3, 2, 3] input: each of the
+    # two cells rebuilds its projection and P alone
+    monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
+    data = _offset(rng(68).standard_normal((2, 3, 2, 3)))
+    w = T.Tensor(0.5 * rng(69).standard_normal((3, 6)))
+    b = T.Tensor(rng(70).standard_normal(6))
+    probe = T.Tensor(rng(71).standard_normal((2, 3, 2, 2)))
+
+    def loss(x):
+        return (T.attention(x, w, b, axis=-3) * probe).sum()
+
+    x = T.Tensor(data, requires_grad=True)
+    analytic = T.gradients(loss(x), {"x": x})["x"]
+    numeric = fd_gradient(lambda: float(loss(T.Tensor(data)).data), data)
+    assert rel_err(analytic, numeric) < 1e-6
 
 
 @pytest.mark.parametrize("extent", [3, 4, 7])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_attention_matches_projection_then_packed_attention_bit_for_bit(extent, axis):
-    # C = 4: A = 3 and 4 keep the projection and P, A = 7 rebuilds them
+    # C = 4: A = 3 and 4 are at most C, A = 7 exceeds it; every input fits
+    # one block, so the node keeps the projection and P
     shape = [3, 3, 5]
     shape[axis] = extent
     data = rng(60).standard_normal(shape)
     probe = T.Tensor(rng(61).standard_normal(shape[:-1] + [4]))
-    w_data, b_data = rng(62).standard_normal((5, 12)), rng(63).standard_normal(12)
-
-    def run(fused: bool):
-        x, w, b = (T.Tensor(a, requires_grad=True) for a in (data, w_data, b_data))
-        if fused:
-            out = T.attention(x, w, b, axis=axis)
-        else:
-            out = packed_attention(T.linear(x, w, b, relu=True), axis=axis)
-        loss = (out * probe).sum()
-        return [loss.data] + list(T.gradients(loss, {"x": x, "w": w, "b": b}).values())
-
-    for got, want in zip(run(True), run(False), strict=True):
+    args = (data, rng(62).standard_normal((5, 12)), rng(63).standard_normal(12), probe, axis)
+    for got, want in zip(_attention_run(*args), _attention_run(*args, fused=False), strict=True):
         assert got.tobytes() == want.tobytes()
 
 
