@@ -2,11 +2,12 @@
 dilated causal convolution, stacked into layers.
 
 Representations are laid out [..., time, node, modality, channel].  Each
-layer attends over the modality and node axes of its input, concatenates
-the three views on the channel axis, and pushes them through a gated
-temporal convolution along time.  Each layer computes only the time steps
-that reach the encoder's output.  ``encode_stream`` runs the same layers over
-consecutive windows, computing each time step once.
+layer attends over the modality and node axes of its input and pushes its
+input and the two attention outputs, read side by side on the channel
+axis, through a gated temporal convolution along time.  Each layer computes
+only the time steps that reach the encoder's output.  ``encode_stream``
+runs the same layers over consecutive windows, computing each time step
+once.
 """
 
 from __future__ import annotations
@@ -82,22 +83,24 @@ def spatial_attention(h: Tensor, attn: ProjectionParams) -> Tensor:
     return axis_attention(h, attn, axis=-3)
 
 
-def temporal_conv_layer(h_cat: Tensor, conv: ConvParams, taps) -> Tensor:
+def temporal_conv_layer(views: Tensor | list[Tensor], conv: ConvParams, taps) -> Tensor:
     """Gated causal convolution along time of [..., T, N, M, 3C] -> [..., T', N, M, C].
 
-    ``taps`` picks the output steps from the input steps; see
+    ``views`` is that input, or the list of tensors it concatenates on the
+    channel axis.  ``taps`` picks the output steps from the input steps; see
     ``dilated_causal_conv``.  Filter and gate run as one convolution, as
-    ``conv.kernel`` holds their kernels side by side.
+    ``conv.kernel`` holds their kernels side by side; the gated product and
+    the 1x1 mix run as one ``gated_tanh`` node.
     """
-    pre = dilated_causal_conv(h_cat, conv.kernel, taps, axis=-4) + conv.bias
-    return linear(gated_tanh(pre), conv.mix.weight, conv.mix.bias)
+    pre = dilated_causal_conv(views, conv.kernel, taps, axis=-4, bias=conv.bias)
+    return gated_tanh(pre, conv.mix.weight, conv.mix.bias)
 
 
-def _conv_input(h: Tensor, layer: LayerParams) -> Tensor:
-    """A layer's three views side by side on the channel axis: [h, ma, sa]."""
+def _conv_input(h: Tensor, layer: LayerParams) -> list[Tensor]:
+    """A layer's three views, the conv input's channel blocks: [h, ma, sa]."""
     ma = modality_attention(h, layer.modality_attn)
     sa = spatial_attention(h, layer.spatial_attn)
-    return concat([h, ma, sa], axis=-1)
+    return [h, ma, sa]
 
 
 def encode(x: Tensor, proj: ProjectionParams, layers: list[LayerParams], cfg: ModelConfig) -> Tensor:
@@ -179,7 +182,7 @@ def _stream_pass(x: np.ndarray, proj: ProjectionParams, layers: list[LayerParams
     """
     h = input_project(Tensor(x), proj)
     for i, (layer, dilation) in enumerate(zip(layers, cfg.dilations, strict=True)):
-        stacked = _conv_input(h, layer)
+        stacked = concat(_conv_input(h, layer), axis=-1)
         if queues[i] is not None:
             stacked = concat([Tensor(queues[i]), stacked], axis=-4)
         kept = stacked.shape[-4] - (cfg.kernel_size - 1) * dilation

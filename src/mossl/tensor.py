@@ -16,11 +16,13 @@ probability matrix only when both fit one backward block of
 ``_BLOCK_BYTES``; otherwise it keeps the softmax row max and row sum alone,
 and its backward rebuilds the projection and the matrix one block at a time
 from the weight and bias arrays, which must therefore not change between a
-forward and its backward.  ``add``, ``sub``, ``concat``, ``reshape``,
-``transpose``, ``take``, ``broadcast_to`` and the reductions keep shapes
-only.  An activation that no backward formula reads, such as an attention
-output consumed by ``concat``, is therefore freed as soon as the caller
-drops its tensor.
+forward and its backward.  ``dilated_causal_conv`` over several parts
+keeps each part's array and concatenates one tap's input steps at a time;
+``gated_tanh`` keeps its gate activations and recomputes their product.
+``add``, ``sub``, ``concat``, ``reshape``, ``transpose``, ``take``,
+``broadcast_to`` and the reductions keep shapes only.  An activation that
+no backward formula reads, such as a conv output consumed by
+``gated_tanh``, is therefore freed as soon as the caller drops its tensor.
 """
 
 from __future__ import annotations
@@ -356,9 +358,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tenso
         np.fmax(out, 0.0, out=out)
     nx, nw, nb = x._node, weight._node, bias._node
     xd, wd = _read_for(weight, x), _read_for(x, weight)
+    kept = out if relu else None  # the relu's pass-through mask reads the output
 
     def backward_fn(g):
-        gpre = g * (out > 0.0) if relu else g
+        gpre = g * (kept > 0.0) if relu else g
         _shared_weight_backward(gpre, nx, nw, xd, wd)
         if nb is not None:
             nb.accumulate(_rows(gpre).sum(axis=0))
@@ -539,25 +542,41 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make(out, (x,), backward_fn)
 
 
-def gated_tanh(x: Tensor) -> Tensor:
-    """tanh of the first half of the channels times sigmoid of the second: [..., 2C] -> [..., C].
+def gated_tanh(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``linear(tanh(x1) * sigmoid(x2), weight, bias)`` for x1|x2 the halves of x's channels: one node.
 
-    The node keeps the two halves' activations, not its input.
+    ``x`` is [..., 2C], ``weight`` [C, C_out] and ``bias`` [C_out]; the output
+    is [..., C_out].  The node keeps the halves' activations t and s, not its
+    input nor their product, which the weight gradient recomputes by the same
+    op; gradients are those of the gated product and ``linear``, bit for bit.
     """
     if x.shape[-1] % 2:
         raise ShapeError(f"gated_tanh needs an even channel count, got {x.shape}")
     c = x.shape[-1] // 2
+    if weight.ndim != 2 or weight.shape[0] != c:
+        raise ShapeError(
+            f"gated_tanh needs a [{c}, C_out] weight for input {x.shape}, got {weight.shape}"
+        )
     t = np.tanh(x.data[..., :c])
     s = _sigmoid(x.data[..., c:])
-    node, shape = x._node, x.shape
+    out = _shared_weight_matmul(t * s, weight.data)
+    out += bias.data
+    nx, nw, nb, shape = x._node, weight._node, bias._node, x.shape
+    wd = _read_for(x, weight)
 
     def backward_fn(g):
-        grad = np.empty(shape)
-        grad[..., :c] = g * s * (1.0 - t * t)
-        grad[..., c:] = g * t * s * (1.0 - s)
-        node.accumulate(grad)
+        if nx is not None:
+            gts = _shared_weight_matmul(g, wd.T)
+            grad = np.empty(shape)
+            grad[..., :c] = gts * s * (1.0 - t * t)
+            grad[..., c:] = gts * t * s * (1.0 - s)
+            nx.accumulate(grad)
+        if nw is not None:
+            nw.accumulate(_rows(t * s).T @ _rows(g))
+        if nb is not None:
+            nb.accumulate(_rows(g).sum(axis=0))
 
-    return _make(t * s, (x,), backward_fn)
+    return _make(out, (x, weight, bias), backward_fn)
 
 
 def log_sigmoid(x: Tensor) -> Tensor:
@@ -749,22 +768,41 @@ def _as_slice(index: np.ndarray):
     return index
 
 
-def dilated_causal_conv(x: Tensor, kernel: Tensor, taps: Sequence, axis: int = -2) -> Tensor:
+def dilated_causal_conv(
+    x: Tensor | Sequence[Tensor],
+    kernel: Tensor,
+    taps: Sequence,
+    axis: int = -2,
+    bias: Tensor | None = None,
+) -> Tensor:
     """Causal convolution along the time axis of ``x``, computing only the requested output steps.
 
     ``x`` is [..., T, *cells, C_in] with time at ``axis`` and channels last,
-    ``kernel`` is [k, C_in, C_out].  ``taps`` holds one index array per kernel
-    tap, all of length T'; output step i is the sum over taps j of input step
-    ``taps[j][i]`` times ``kernel[j]``, so the output is [..., T', *cells, C_out].
-    Indices within one tap must be unique.
+    or a sequence of tensors read as their concatenation on the channel
+    axis; ``kernel`` is [k, C_in, C_out].  ``taps`` holds one index array per
+    kernel tap, all of length T'; output step i is the sum over taps j of
+    input step ``taps[j][i]`` times ``kernel[j]``, so the output is
+    [..., T', *cells, C_out].  Indices within one tap must be unique.
+    ``bias``, broadcast against the output, is added in place.
+
+    The parts are concatenated one tap's input steps at a time, in the
+    forward and again in the backward for the kernel gradient, and the node
+    keeps the parts' arrays only.  Each part's channel slice of every tap's
+    input gradient is added into a buffer of that part's shape, so no
+    [..., T, *cells, C_in] array is formed; output and gradients are those
+    of ``concat`` followed by the convolution of its output, bit for bit.
     """
+    parts = [x] if isinstance(x, Tensor) else list(x)
+    shape = parts[0].shape[:-1] + (sum(p.shape[-1] for p in parts),)
+    if any(p.shape[:-1] != shape[:-1] for p in parts):
+        raise ShapeError(f"conv parts differ off the channel axis: {[p.shape for p in parts]}")
     if kernel.ndim != 3:
         raise ShapeError(f"conv kernel must be [k, C_in, C_out], got {kernel.shape}")
-    if x.shape[-1] != kernel.shape[1]:
-        raise ShapeError(f"conv channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-    axis = axis % x.ndim
-    if axis == x.ndim - 1:
-        raise ShapeError(f"conv time axis must not be the channel axis of {x.shape}")
+    if shape[-1] != kernel.shape[1]:
+        raise ShapeError(f"conv channel mismatch: input {shape} vs kernel {kernel.shape}")
+    axis = axis % len(shape)
+    if axis == len(shape) - 1:
+        raise ShapeError(f"conv time axis must not be the channel axis of {shape}")
     k, c_in, c_out = kernel.shape
     if len(taps) != k:
         raise ShapeError(f"conv needs one tap per kernel tap: {len(taps)} for {kernel.shape}")
@@ -773,35 +811,55 @@ def dilated_causal_conv(x: Tensor, kernel: Tensor, taps: Sequence, axis: int = -
         raise ShapeError(f"conv taps must be non-empty and equally long, got lengths {lengths}")
     t_out = lengths[0]
     taps = [_as_slice(np.asarray(tap)) for tap in taps]
-    lead, cells = x.shape[:axis], x.shape[axis + 1 : -1]
+    lead, cells = shape[:axis], shape[axis + 1 : -1]
     steps = [(slice(None),) * axis + (tap,) for tap in taps]
 
-    def read(j: int) -> np.ndarray:
-        # cell axes merged into one: a view of a slice tap, one GEMM per time step
-        return x.data[steps[j]].reshape(lead + (t_out, -1, c_in)) if cells else x.data[steps[j]]
+    def read(arrays: list[np.ndarray], j: int) -> np.ndarray:
+        """Tap j's input steps of the parts' concatenation: a view of one part at a slice tap."""
+        taken = [a[steps[j]] for a in arrays]
+        return taken[0] if len(taken) == 1 else np.concatenate(taken, axis=-1)
 
-    out = read(0) @ kernel.data[0]
+    def cell_rows(a: np.ndarray) -> np.ndarray:
+        # cell axes merged into one, so one GEMM per time step
+        return a.reshape(lead + (t_out, -1, c_in)) if cells else a
+
+    inputs = [p.data for p in parts]
+    out = cell_rows(read(inputs, 0)) @ kernel.data[0]
     for j in range(1, k):
-        out += read(j) @ kernel.data[j]
+        out += cell_rows(read(inputs, j)) @ kernel.data[j]
     out = out.reshape(lead + (t_out,) + cells + (c_out,))
-    nx, nk, shape = x._node, kernel._node, x.shape
-    xd, kd = _read_for(kernel, x), _read_for(x, kernel)
+    if bias is not None:
+        out += bias.data
+    nodes, shapes = [p._node for p in parts], [p.shape for p in parts]
+    offsets = np.cumsum([0] + [part_shape[-1] for part_shape in shapes]).tolist()
+    nk = kernel._node
+    nb, bias_shape = (None, None) if bias is None else (bias._node, bias.shape)
+    arrays = inputs if kernel.requires_grad else None
+    kd = kernel.data if any(p.requires_grad for p in parts) else None
 
     def backward_fn(g):
-        if nx is not None:
-            gx = np.zeros(shape)
-            for j in range(k):
-                # taps hold unique indices, so a gathered += adds each step once
-                gx[steps[j]] += _shared_weight_matmul(g, kd[j].T)
-            nx.accumulate(gx)
+        if nb is not None:
+            _accumulate_unbroadcast(nb, bias_shape, g)
         if nk is not None:
             g_rows = _rows(g)
             gk = np.empty((k, c_in, c_out))
             for j in range(k):
-                gk[j] = _rows(xd[steps[j]]).T @ g_rows
+                gk[j] = _rows(read(arrays, j)).T @ g_rows
             nk.accumulate(gk)
+        if kd is not None:
+            grads = [None if n is None else np.zeros(sh) for n, sh in zip(nodes, shapes)]
+            for j in range(k):
+                gj = _shared_weight_matmul(g, kd[j].T)
+                for gp, start, stop in zip(grads, offsets[:-1], offsets[1:]):
+                    if gp is not None:
+                        # taps hold unique indices, so a gathered += adds each step once
+                        gp[steps[j]] += gj[..., start:stop]
+            for node, gp in zip(nodes, grads):
+                if node is not None:
+                    node.accumulate(gp)
 
-    return _make(out, (x, kernel), backward_fn)
+    parents = tuple(parts) + (kernel,) + (() if bias is None else (bias,))
+    return _make(out, parents, backward_fn)
 
 
 # -- reverse pass -----------------------------------------------------------

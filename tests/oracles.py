@@ -7,7 +7,8 @@ the two encoders at the end, built from the package's tape ops:
 time plan, so the plan can be checked against the dense computation, and
 ``encode_unfused`` composes each block from small ops, so the fused blocks
 can be checked against it.  ``packed_attention`` is the attention half of
-the two-node form ``tensor.attention`` fuses, for a bit-for-bit check.
+the two-node form ``tensor.attention`` fuses, and ``temporal_conv_chain``
+the five-node form of the gated conv, for bit-for-bit checks.
 """
 
 import math
@@ -138,7 +139,7 @@ def encode_every_step(x, proj, layers, cfg):
         ma = enc.modality_attention(h, layer.modality_attn)
         sa = enc.spatial_attention(h, layer.spatial_attn)
         taps = dense_taps(h.shape[-4], cfg.kernel_size, dilation)
-        h = enc.temporal_conv_layer(concat([h, ma, sa], axis=-1), layer.conv, taps)
+        h = enc.temporal_conv_layer([h, ma, sa], layer.conv, taps)
     return h
 
 
@@ -205,6 +206,35 @@ def tanh(x):
         x._node.accumulate(g * (1.0 - out * out))
 
     return tensor._make(out, (x,), backward_fn)
+
+
+def gated_product(x):
+    """tanh of the first half of the channels times sigmoid of the second, as one tape node.
+
+    The gated half of the two-node form ``tensor.gated_tanh`` fuses with the
+    mix ``linear``, by the same array ops in the same order.
+    """
+    c = x.shape[-1] // 2
+    t = np.tanh(x.data[..., :c])
+    s = tensor._sigmoid(x.data[..., c:])
+
+    def backward_fn(g):
+        grad = np.empty(x.shape)
+        grad[..., :c] = g * s * (1.0 - t * t)
+        grad[..., c:] = g * t * s * (1.0 - s)
+        x._node.accumulate(grad)
+
+    return tensor._make(t * s, (x,), backward_fn)
+
+
+def temporal_conv_chain(views, conv, taps):
+    """``encoder.temporal_conv_layer`` as five tape nodes: concat, conv, + bias, gated product, mix.
+
+    Each node runs the array ops of its part of the fused two-node layer in
+    the same order, so the fused layer must match it bit for bit.
+    """
+    pre = dilated_causal_conv(concat(views, axis=-1), conv.kernel, taps, axis=-4) + conv.bias
+    return linear(gated_product(pre), conv.mix.weight, conv.mix.bias)
 
 
 def temporal_conv_unfused(h_cat, conv, taps):

@@ -31,6 +31,7 @@ from oracles import (
     filter_gate,
     projection_loop,
     qkv,
+    temporal_conv_chain,
 )
 
 
@@ -359,15 +360,39 @@ class TestFusedLayer:
 
         monkeypatch.setattr(tensor, "_make", counting_make)
         forward_pass(params, SMALL, AblationFlags(), LossWeights(), x, y, mask_uniforms=u)
-        assert sum(taped) == 126
+        assert sum(taped) == 108
+
+    @pytest.mark.parametrize("case", ["small-train", "paper-window"])
+    def test_gated_conv_matches_five_node_chain_bit_for_bit(self, case, monkeypatch):
+        # the conv over [h, ma, sa] with its bias and gated_tanh with the mix
+        # against concat, conv, + bias, gated product and linear
+        if case == "small-train":
+            cfg, shape = SMALL, (8, 6, 3, 16)
+        else:
+            cfg, shape = ModelConfig(), (16, 98, 4, 1)
+        params, x, y, u = small_train_batch(cfg, AblationFlags(), *shape)
+
+        def run():
+            res = forward_pass(params, cfg, AblationFlags(), LossWeights(), x, y, mask_uniforms=u)
+            grads = gradients(res.total, params.named)
+            return [res.total.data, res.predictions.data] + [grads[n] for n in sorted(grads)]
+
+        fused = run()
+        monkeypatch.setattr(enc, "temporal_conv_layer", temporal_conv_chain)
+        chain = run()
+        assert len(fused) == len(chain)
+        for got, want in zip(fused, chain):
+            assert got.tobytes() == want.tobytes()
 
 
 def recorded_pass(monkeypatch, keep: bool):
     """A small-shape training pass, its parameters and the arrays no backward formula reads.
 
-    Those arrays are every attention output, conv output and conv+bias sum
-    (the ``gated_tanh`` input) of both views.  ``keep`` holds them strongly,
-    as a tape whose edges held parent tensors did; otherwise weakly.
+    Those arrays are the conv outputs with their bias added, the
+    ``gated_tanh`` inputs, of both views; the attention outputs are not
+    among them, as the conv's backward reads them for its kernel gradient.
+    ``keep`` holds them strongly, as a tape whose edges held parent tensors
+    did; otherwise weakly.
     """
     held = []
 
@@ -382,8 +407,6 @@ def recorded_pass(monkeypatch, keep: bool):
 
         monkeypatch.setattr(enc, name, recorded)
 
-    recording("attention", lambda args, out: out)
-    recording("dilated_causal_conv", lambda args, out: out)
     recording("gated_tanh", lambda args, out: args[0])
     params, x, y, u = small_train_batch(SMALL, AblationFlags(), 8, 6, 3, 4)
     res = forward_pass(params, SMALL, AblationFlags(), LossWeights(), x, y, mask_uniforms=u)
@@ -392,13 +415,13 @@ def recorded_pass(monkeypatch, keep: bool):
 
 def test_activations_no_backward_reads_are_freed_once_consumed(monkeypatch):
     weak, res, params = recorded_pass(monkeypatch, keep=False)
-    # 3 layers of 2 views: two attention outputs, a conv output and a conv+bias sum each
-    assert len(weak) == 24
+    # 3 layers of 2 views: a gated_tanh input each
+    assert len(weak) == 6
     # the graph, and so every consumer of those arrays, is still alive
     assert all(ref() is None for ref in weak)
     grads = gradients(res.total, params.named)
     kept, res, params = recorded_pass(monkeypatch, keep=True)
-    assert len(kept) == 24
+    assert len(kept) == 6
     kept_grads = gradients(res.total, params.named)
     assert grads.keys() == kept_grads.keys()
     assert all(np.array_equal(grads[name], kept_grads[name]) for name in grads)

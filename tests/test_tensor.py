@@ -163,6 +163,44 @@ class TestDilatedCausalConv:
         out = T.dilated_causal_conv(T.Tensor(x), T.Tensor(kernel), taps).data
         assert np.array_equal(out, dense[:, rows])
 
+    @pytest.mark.parametrize("axis", [-2, 0])
+    def test_parts_with_bias_match_concat_then_add_bit_for_bit(self, axis):
+        # the parts' gradients arrive as concat's slices, the bias's as add's
+        shapes = [(3, 5, 3, 1), (3, 5, 3, 2), (3, 5, 3, 3)]
+        data = [rng(90 + i).standard_normal(s) for i, s in enumerate(shapes)]
+        kernel_data, bias_data = rng(94).standard_normal((2, 6, 4)), rng(95).standard_normal(4)
+        taps = (np.array([0, 2]), np.array([2, 1]))
+        probe = T.Tensor(rng(96).standard_normal((2, 5, 3, 4) if axis == 0 else (3, 5, 2, 4)))
+
+        def run(fused):
+            parts = [T.Tensor(d, requires_grad=True) for d in data]
+            kernel = T.Tensor(kernel_data, requires_grad=True)
+            bias = T.Tensor(bias_data, requires_grad=True)
+            if fused:
+                out = T.dilated_causal_conv(parts, kernel, taps, axis=axis, bias=bias)
+            else:
+                joined = T.concat(parts, axis=-1)
+                out = T.dilated_causal_conv(joined, kernel, taps, axis=axis) + bias
+            loss = (out * probe).sum()
+            named = {f"part{i}": p for i, p in enumerate(parts)} | {"kernel": kernel, "bias": bias}
+            return [out.data] + list(T.gradients(loss, named).values())
+
+        for got, want in zip(run(True), run(False), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def test_keeps_the_parts_not_their_concatenation(self):
+        parts = [T.Tensor(rng(97).standard_normal((4, 2, c)), requires_grad=True) for c in (1, 2)]
+        kernel = T.Tensor(rng(98).standard_normal((2, 3, 2)), requires_grad=True)
+        out = T.dilated_causal_conv(parts, kernel, dense_taps(4, 2, 1), axis=0)
+        held = closure_arrays(out._node.backward)
+        assert sorted(a.shape for a in held) == [(2, 3, 2), (4, 2, 1), (4, 2, 2)]
+        assert all(any(a is d for d in (parts[0].data, parts[1].data, kernel.data)) for a in held)
+
+    def test_parts_must_agree_off_the_channel_axis(self):
+        parts = [T.Tensor(np.zeros((4, 2, 1))), T.Tensor(np.zeros((4, 3, 1)))]
+        with pytest.raises(ShapeError, match="off the channel axis"):
+            T.dilated_causal_conv(parts, T.Tensor(np.zeros((1, 2, 1))), (np.arange(4),), axis=0)
+
     def test_taps_must_match_the_kernel(self):
         x, kernel = T.Tensor(np.zeros((4, 1))), T.Tensor(np.zeros((2, 1, 1)))
         with pytest.raises(ShapeError, match="one tap per kernel tap"):
@@ -214,6 +252,16 @@ class TestKernels:
         assert np.array_equal(_bits(out.data), _bits(self.old_relu(pre)))
         grad = T.gradients((out * T.Tensor(probe)).sum(), {"x": x})["x"]
         assert np.array_equal(_bits(grad), _bits((probe * (pre > 0.0)) @ np.ones((1, 1))))
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_linear_keeps_its_output_only_with_relu(self, relu):
+        x = T.Tensor(rng(64).standard_normal((3, 2)), requires_grad=True)
+        weight = T.Tensor(rng(65).standard_normal((2, 4)), requires_grad=True)
+        bias = T.Tensor(rng(66).standard_normal(4), requires_grad=True)
+        out = T.linear(x, weight, bias, relu=relu)
+        held = closure_arrays(out._node.backward)
+        assert {id(a) for a in held if a is not out.data} == {id(weight.data), id(x.data)}
+        assert any(a is out.data for a in held) == relu
 
     def test_sigmoid_is_bit_equal_and_nan_stays_nan(self):
         out = T.sigmoid(T.Tensor(_SPECIAL)).data
@@ -290,9 +338,31 @@ _OP_CASES = {
     "attention_weight": lambda x: T.attention(
         T.Tensor(rng(42).standard_normal((2, 2, 3))), x.reshape(3, 6), x.reshape(3, 6)[1], axis=-2
     ),
-    "gated_tanh": lambda x: T.gated_tanh(x @ T.Tensor(rng(35).standard_normal((3, 4)))),
+    "gated_tanh": lambda x: T.gated_tanh(
+        x @ T.Tensor(rng(35).standard_normal((3, 4))),
+        T.Tensor(rng(40).standard_normal((2, 3))),
+        T.Tensor(rng(41).standard_normal(3)),
+    ),
+    # x[0] as the [C=3, 3] mix weight and x[1, 0] as its bias
+    "gated_tanh_weight": lambda x: T.gated_tanh(
+        T.Tensor(rng(43).standard_normal((2, 2, 6))), x[0], x[1, 0]
+    ),
     "conv": lambda x: T.dilated_causal_conv(
         x, T.Tensor(rng(28).standard_normal((2, x.shape[-1], 2))), dense_taps(x.shape[-2], 2, 1)
+    ),
+    # x and exp of two of its channels as one [2, 3, 5] input, with a bias
+    "conv_parts": lambda x: T.dilated_causal_conv(
+        [x, T.exp(x[..., :2])],
+        T.Tensor(rng(44).standard_normal((2, 5, 2))),
+        dense_taps(x.shape[-2], 2, 1),
+        bias=T.Tensor(rng(45).standard_normal(2)),
+    ),
+    # x[0, 0] as the bias of a conv over two constant parts
+    "conv_parts_bias": lambda x: T.dilated_causal_conv(
+        [T.Tensor(rng(46).standard_normal((2, 3, c))) for c in (1, 2)],
+        T.Tensor(rng(48).standard_normal((2, 3, 3))),
+        dense_taps(3, 2, 1),
+        bias=x[0, 0],
     ),
     # one strided tap and one unordered tap, both reading step 2
     "conv_taps": lambda x: T.dilated_causal_conv(
@@ -394,6 +464,51 @@ def closure_arrays(fn) -> list[np.ndarray]:
         elif callable(value) and getattr(value, "__closure__", None):
             stack.extend(cell.cell_contents for cell in value.__closure__)
     return found
+
+
+def held_arrays(total, params) -> list[tuple[str, np.ndarray]]:
+    """(op kind, base array) for each distinct array the closures of one op kind hold, below ``total``.
+
+    The tape below node-bearing tensor ``total`` is walked along parent
+    edges; a node's kind is the op function that defined its backward
+    closure.  A held view counts as the array it views, once per kind, and
+    the arrays of ``params``, a dict of tensors, are left out.
+    """
+    skip = {id(p.data) for p in params.values()}
+    found, seen, stack = {}, set(), [total._node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node.backward is None:
+            continue
+        seen.add(id(node))
+        stack.extend(node.parents)
+        kind = node.backward.__qualname__.partition(".")[0]
+        for a in closure_arrays(node.backward):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            if id(a) not in skip:
+                found[(kind, id(a))] = (kind, a)
+    return list(found.values())
+
+
+def held_bytes_by_op(total, params) -> dict[str, int]:
+    """Bytes the tape below ``total`` holds, parameters left out, by the op kinds that hold them.
+
+    Each array counts once, under the kinds whose closures hold it joined
+    by "+" (such as "attention+dilated_causal_conv" for a layer input), so
+    the values add up to the whole graph and an array that stops being
+    shared shows as growth under one kind.
+    """
+    kinds: dict[int, set[str]] = {}
+    arrays: dict[int, np.ndarray] = {}
+    for kind, a in held_arrays(total, params):
+        kinds.setdefault(id(a), set()).add(kind)
+        arrays[id(a)] = a
+    by_op: dict[str, int] = {}
+    for key, a in arrays.items():
+        label = "+".join(sorted(kinds[key]))
+        by_op[label] = by_op.get(label, 0) + a.nbytes
+    return by_op
 
 
 @pytest.mark.parametrize("extent", [3, 4, 5, 6])
