@@ -423,15 +423,17 @@ def _forward_sharded(
     mask_uniforms: np.ndarray | None,
     training: bool,
 ) -> ForwardResult:
-    """``forward_pass`` as one ``_forward_batch`` shard per window, run on the pool.
+    """``forward_pass`` as one ``_forward_batch`` shard per window, run by ``run_shards``.
 
     Each shard runs on its own parameter leaves over the same arrays, so
     shards share no gradient buffer.  When the tape records, a shard
     differentiates its own total, seeded with 1 / B as the batched mean
     passes it on, and returns its leaf gradients; its graph is gone when the
-    shard ends, so at most one window graph per core is alive.  ``total`` is
-    one ``with_gradients`` node over the master parameters carrying those
-    gradients summed in window order, with the value the batched path
+    shard ends, so at most one window graph per core is alive.  The fold adds
+    each window's gradients into the running sum, in window order, as soon
+    as every lower window is folded, so at most one gradient set per core is
+    alive besides the sum.  ``total`` is one ``with_gradients`` node over the
+    master parameters carrying that sum, with the value the batched path
     computes from the same per-window terms.  ``parts`` and the other fields
     join the shards' data and carry no graph.  Shards are always single
     windows, so the numbers do not depend on how many cores run them.
@@ -439,7 +441,7 @@ def _forward_sharded(
     count = len(x)
     arrays = (x, y, mask_uniforms)
 
-    def shard(b: int) -> tuple[ForwardResult, dict[str, np.ndarray]]:
+    def shard(b: int) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         rows = [None if a is None else np.asarray(a)[b : b + 1] for a in arrays]
         bound = _bind(params)
         try:
@@ -448,35 +450,58 @@ def _forward_sharded(
             raise type(exc)(f"window {b} of the batch: {exc}") from exc
         if res.total is not None:
             backward(res.total, seed=1.0 / count)  # does nothing under no_grad
-        return res, {name: p.grad for name, p in bound.named.items() if p.grad is not None}
+        grads = {name: p.grad for name, p in bound.named.items() if p.grad is not None}
+        return _window_arrays(res), grads
 
-    shards, grads = zip(*run_shards(shard, count))
+    joined: dict[str, np.ndarray] = {}  # each field's batch array, one window's row set per fold
+    summed: dict[str, np.ndarray] = {}  # window 0's gradients, each later window's added in
 
-    def joined(tensors: list[Tensor | None]) -> Tensor | None:
-        return None if tensors[0] is None else Tensor(np.concatenate([t.data for t in tensors]))
+    def fold(b: int, value: tuple[dict[str, np.ndarray], dict[str, np.ndarray]]) -> None:
+        fields, grads = value
+        for key, row in fields.items():
+            if b == 0:
+                joined[key] = np.empty((count,) + row.shape[1:], row.dtype)
+            joined[key][b] = row[0]
+        for name, g in grads.items():
+            if name in summed:
+                summed[name] += g
+            else:
+                summed[name] = g
 
-    first = shards[0]
+    run_shards(shard, count, fold)
+
+    def tensor(key: str) -> Tensor | None:
+        return Tensor(joined[key]) if key in joined else None
+
     result = ForwardResult(
-        predictions=joined([s.predictions for s in shards]),
-        h=joined([s.h for s in shards]),
-        h_second=joined([s.h_second for s in shards]),
+        predictions=tensor("predictions"),
+        h=tensor("h"),
+        h_second=tensor("h_second"),
+        mask=joined.get("mask"),
     )
-    if first.mask is not None:
-        result.mask = np.concatenate([s.mask for s in shards])
-    if first.mixture is not None:
-        result.mixture = gssl_mod.MixtureState(
-            *(joined([getattr(s.mixture, f) for s in shards]) for f in ("gamma", "mu", "sigma2"))
-        )
-    values = {name: np.mean(np.stack([s.parts[name].data for s in shards])) for name in first.parts}
+    if "gamma" in joined:
+        result.mixture = gssl_mod.MixtureState(*(tensor(f) for f in _MIXTURE_FIELDS))
+    values = {k[len("part.") :]: np.mean(v) for k, v in joined.items() if k.startswith("part.")}
     result.parts = {name: Tensor(value) for name, value in values.items()}
     total = _weighted_total(values, weights)
-    summed = grads[0]
-    for more in grads[1:]:
-        for name, g in more.items():
-            summed[name] += g
     if total is not None:
         result.total = with_gradients(total, summed, params.named)
     return result
+
+
+_MIXTURE_FIELDS = ("gamma", "mu", "sigma2")
+
+
+def _window_arrays(res: ForwardResult) -> dict[str, np.ndarray]:
+    """A window's result fields as arrays with a leading window axis, parts as "part.<name>"."""
+    arrays = {"predictions": res.predictions, "h": res.h, "h_second": res.h_second}
+    if res.mixture is not None:
+        arrays.update({f: getattr(res.mixture, f) for f in _MIXTURE_FIELDS})
+    arrays = {key: t.data for key, t in arrays.items() if t is not None}
+    if res.mask is not None:
+        arrays["mask"] = res.mask
+    arrays.update({"part." + name: part.data.reshape(1) for name, part in res.parts.items()})
+    return arrays
 
 
 def _bind(params: ModelParams) -> ModelParams:

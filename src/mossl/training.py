@@ -288,6 +288,7 @@ def train(
                 sums[name] = sums.get(name, 0.0) + float(part.data)
             total_sum += float(res.total.data)
             batches += 1
+            del res, grads, uniforms  # not held through the next step or the val evaluate
 
         record: dict = {"epoch": epoch, "loss": total_sum / batches}
         for name, value in sums.items():

@@ -5,9 +5,14 @@ sharded path is forced here by setting the threshold to 0 and compared
 with the batched path on the same inputs.
 """
 
+import concurrent.futures
+import contextvars
 import gc
 import sys
+import threading
+import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -31,8 +36,9 @@ CASES = {
 }
 
 
-def case_batch(case, seed=7):
-    cfg, flags, steps, nodes, modalities, batch = CASES[case]
+def case_batch(case, seed=7, batch=None):
+    cfg, flags, steps, nodes, modalities, case_windows = CASES[case]
+    batch = batch or case_windows
     dims = ModelDims(input_steps=steps, output_steps=2, nodes=nodes, modalities=modalities)
     params = init_params(cfg, dims, flags, seed=5)
     r = np.random.default_rng(seed)
@@ -65,6 +71,15 @@ def is_sharded(res, params) -> bool:
 
 def shard_all(monkeypatch):
     monkeypatch.setattr(model, "SHARD_BYTES", 0)
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No pool exists when the test starts; the one the test makes is shut down after it."""
+    monkeypatch.setattr(parallel, "_pool", None)
+    yield
+    if parallel._pool is not None:
+        parallel._pool.shutdown()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -178,7 +193,7 @@ def test_sharded_full_model_gradient_check(monkeypatch):
     assert calls == [2] * (1 + 2 * sum(p.size for p in params.named.values()))
 
 
-def test_one_worker_and_more_workers_than_cores_are_byte_identical(monkeypatch):
+def test_one_worker_and_more_workers_than_cores_are_byte_identical(monkeypatch, fresh_pool):
     shard_all(monkeypatch)
 
     def run(cores, cfg, flags, params, x, y, u):
@@ -189,7 +204,8 @@ def test_one_worker_and_more_workers_than_cores_are_byte_identical(monkeypatch):
         ]
 
     # only the paper shape's GEMMs are large enough for OpenBLAS to split over threads
-    for batch in (case_batch("small"), paper_batch(2)):
+    batches = (case_batch("small"), case_batch("small", batch=5), paper_batch(2), paper_batch(3))
+    for batch in batches:
         windows = len(batch[3])
         serial = run(1, *batch)
         interval = sys.getswitchinterval()
@@ -278,3 +294,193 @@ def test_paper_shape_sharded_eval_is_bit_identical(monkeypatch):
     monkeypatch.setattr(model, "SHARD_BYTES", np.inf)
     batched = predictions()
     assert np.array_equal(sharded.predictions.data, batched.predictions.data)
+
+
+def test_one_pool_serves_every_pass_and_one_core_starts_no_thread(monkeypatch, fresh_pool):
+    shard_all(monkeypatch)
+    pools = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            pools.append(self)
+            self.workers, self.submits = max_workers, 0
+
+        def submit(self, *args, **kwargs):
+            self.submits += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    cfg, flags, params, x, y, u = case_batch("tiny", batch=5)
+    threads = []
+    forward_batch = model._forward_batch
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return forward_batch(*args)
+
+    monkeypatch.setattr(model, "_forward_batch", recording)
+
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
+    for windows in (2, 3, 5):
+        forward_pass(params, cfg, flags, LossWeights(), x[:windows], y[:windows], u[:windows])
+    assert pools == [] and set(threads) == {threading.get_ident()}
+
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 4)
+    submitted = []
+    for windows in (2, 3, 5):
+        forward_pass(params, cfg, flags, LossWeights(), x[:windows], y[:windows], u[:windows])
+        submitted.append(sum(pool.submits for pool in pools))
+    assert len(pools) == 1 and pools[0].workers == 3
+    # the caller drains beside min(cores, windows) - 1 pool workers
+    assert submitted == [1, 1 + 2, 1 + 2 + 3]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_each_call_runs_under_its_own_copy_of_the_callers_context(cores, monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
+    var = contextvars.ContextVar("shard_test_var", default="unset")
+    token = var.set("caller")
+    seen = {}
+
+    def call(i):
+        seen[i] = (var.get(), tensor._recording.get(), threading.get_ident())
+        var.set(f"call {i}")
+        tensor._recording.set(False)  # as entering no_grad without leaving it would
+        time.sleep(0.01)
+        return i
+
+    folded = []
+    try:
+        parallel.run_shards(call, 6, lambda i, value: folded.append((i, value)))
+        assert var.get() == "caller" and tensor._recording.get()
+    finally:
+        var.reset(token)
+    assert folded == [(i, i) for i in range(6)]
+    assert [seen[i][:2] for i in range(6)] == [("caller", True)] * 6
+    if cores == 1:
+        assert {seen[i][2] for i in range(6)} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("slow", [0, 1], ids=["raising-window-last", "raising-window-first"])
+def test_raising_lowest_window_passes_its_fold_turn(slow, monkeypatch):
+    control = parallel.blas_thread_control()
+    shard_all(monkeypatch)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+    cfg, flags, params, x, y, u = case_batch("tiny")
+    x[0, 0, 0, 0] = np.inf
+    events = []
+    forward_batch = model._forward_batch
+
+    def recording(params, cfg, flags, weights, rows, *rest):
+        window = next(b for b in range(len(x)) if np.array_equal(rows, x[b : b + 1]))
+        events.append(("start", window))
+        try:
+            if window == slow:
+                time.sleep(0.3)  # the other thread's window ends first
+            return forward_batch(params, cfg, flags, weights, rows, *rest)
+        finally:
+            events.append(("end", window))
+
+    monkeypatch.setattr(model, "_forward_batch", recording)
+    outcome = {}
+
+    def step():
+        try:
+            with np.errstate(invalid="ignore"):
+                forward_pass(params, cfg, flags, LossWeights(), x, y, mask_uniforms=u)
+        except Exception as exc:
+            outcome["error"], outcome["events"] = exc, list(events)
+
+    before = None if control is None else control[0]()
+    runner = threading.Thread(target=step, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "the sharded pass deadlocked"
+    error = outcome["error"]
+    assert isinstance(error, NumericalError)
+    assert str(error) == "window 0 of the batch: mixture NLL is non-finite"
+    started = {w for kind, w in outcome["events"] if kind == "start"}
+    assert 0 in started and {w for kind, w in outcome["events"] if kind == "end"} == started
+    if control is not None:
+        assert control[0]() == before
+
+
+def test_gradient_sets_alive_at_once_are_bounded_by_the_cores(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+    cfg, flags, params, x, y, u = paper_batch(8)
+    alive = {}  # window -> weak reference to one of its leaf gradients
+    most = []
+    run_shards = model.run_shards
+
+    def counting(fn, count, fold):
+        def shard(i):
+            res, grads = fn(i)
+            alive[i] = weakref.ref(next(iter(grads.values())))
+            most.append(sum(ref() is not None for w, ref in alive.items() if w != 0))
+            return res, grads
+
+        def counting_fold(i, value):
+            most.append(sum(ref() is not None for w, ref in alive.items() if w != 0))
+            fold(i, value)
+
+        run_shards(shard, count, counting_fold)
+
+    monkeypatch.setattr(model, "run_shards", counting)
+    res, grads, was_sharded = train_step(cfg, flags, params, x, y, u)
+    assert was_sharded and sorted(alive) == list(range(8))
+    # window 0's gradients are the running sum; besides them one set per core at most
+    assert max(most) <= 2
+
+
+def test_many_windows_on_more_threads_than_cores_run_and_fold_each_once_in_order(
+    monkeypatch, fresh_pool
+):
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 8)
+    calls, folds = [], []
+
+    def fold(i, value):
+        assert value == i * i
+        folds.append(i)
+
+    def stress():
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            parallel.run_shards(lambda i: calls.append(i) or i * i, 500, fold)
+        finally:
+            sys.setswitchinterval(interval)
+
+    runner = threading.Thread(target=stress, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "the shards deadlocked"
+    assert sorted(calls) == list(range(500)) and folds == list(range(500))
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_raising_fold_ends_the_pass_after_every_started_call(cores, monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
+    running, outcome = set(), {}
+
+    def call(i):
+        running.add(i)
+        time.sleep(0.02)
+        running.discard(i)
+        return i
+
+    def fold(i, value):
+        if i == 3:
+            raise RuntimeError("fold 3")
+
+    def step():
+        try:
+            parallel.run_shards(call, 10, fold)
+        except RuntimeError as exc:
+            outcome["error"], outcome["running"] = exc, set(running)
+
+    runner = threading.Thread(target=step, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "the shards deadlocked"
+    assert str(outcome["error"]) == "fold 3" and outcome["running"] == set()
